@@ -34,8 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config_hash(args):
-    # only semantic parameters are hashed: worker count cannot affect
-    # results by design, and filesystem locations are not configuration
+    # only semantic parameters are hashed: --workers has no effect on
+    # results, and filesystem locations are not configuration
     skip = ("func", "workers", "out", "data", "descriptors", "vocab_dir",
             "bank", "predictions")
     items = sorted((k, repr(v)) for k, v in vars(args).items()
@@ -273,34 +273,32 @@ def cmd_encode(args):
     return EXIT_OK
 
 
+def _l2_normalize_rows(x):
+    """Scale each row to unit L2 norm; all-zero rows stay zero."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms == 0.0, 1.0, norms)
+
+
 def _frame_training_data(args, vocab):
     examples = _load_examples(args.data, "train")
     frames, label_sets, _ = trainer.expand_frame_examples(
         examples, args.frames_per_video, seed=args.seed)
     if args.l2_normalize:
-        norms = np.linalg.norm(frames, axis=1, keepdims=True)
-        frames = frames / np.where(norms == 0.0, 1.0, norms)
-    x = models.add_bias(frames)
-    y = np.zeros((len(label_sets), vocab.size))
-    for i, labs in enumerate(label_sets):
-        for l in labs:
-            y[i, l] = 1.0
-    return x, y
+        frames = _l2_normalize_rows(frames)
+    return models.add_bias(frames), data.label_matrix(label_sets, vocab.size)
 
 
 def _video_training_data(args, vocab):
     vids, mat, _ = aggregate.read_descriptors(
         os.path.join(args.descriptors, "train.desc"))
     truths = _read_labels(os.path.join(args.descriptors, "train.labels"))
-    x = models.add_bias(mat)
-    y = np.zeros((len(vids), vocab.size))
-    for i, vid in enumerate(vids):
-        for l in truths.get(vid, ()):
-            y[i, l] = 1.0
-    return x, y
+    label_sets = [truths.get(vid, ()) for vid in vids]
+    return models.add_bias(mat), data.label_matrix(label_sets, vocab.size)
 
 
 def cmd_train(args):
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
     vocab = _read_vocab(args.vocab_dir or args.data or args.descriptors)
     if args.level == "frame":
         if not args.data:
@@ -325,7 +323,7 @@ def cmd_train(args):
         n_experts=args.mixtures,
         hinge_margin=args.hinge_margin,
     )
-    results = trainer.train_all(vocab, x, y, cfg, n_workers=args.workers)
+    results = trainer.train_all(vocab, x, y, cfg)
 
     os.makedirs(args.out, exist_ok=True)
     chash = _config_hash(args)
@@ -381,8 +379,7 @@ def cmd_predict(args):
         for ex in examples:
             frames = np.asarray(ex.features.frames, dtype=np.float64)
             if l2norm:
-                norms = np.linalg.norm(frames, axis=1, keepdims=True)
-                frames = frames / np.where(norms == 0.0, 1.0, norms)
+                frames = _l2_normalize_rows(frames)
             lines_vids.append(ex.features.video_id)
             scores.append(trainer.predict_video_frame_level(bank, frames))
     else:
@@ -501,7 +498,9 @@ def build_parser():
     p.add_argument("--frames-per-video", type=int, default=20)
     p.add_argument("--hinge-margin", type=float, default=1.0)
     p.add_argument("--no-l2-normalize", dest="l2_normalize", action="store_false")
-    p.add_argument("--workers", type=int, default=1)
+    # a thread per label gained nothing under the GIL: checked, then ignored
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

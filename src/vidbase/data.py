@@ -262,12 +262,14 @@ def generate_synthetic(seed, n_labels, n_videos, dim, cluster_spec,
     return examples
 
 
-def ground_truth_matrix(examples, n_labels):
-    """Binary (V, L) matrix from the examples' ground-truth sets."""
-    out = np.zeros((len(examples), n_labels), dtype=np.float64)
-    for i, ex in enumerate(examples):
-        for lab in ex.ground_truth:
-            if lab >= n_labels:
-                raise ValueError("label id %d out of range" % lab)
+def label_matrix(label_sets, n_labels):
+    """Binary (N, L) matrix with row i set at the label ids of label_sets[i].
+    An id outside the vocabulary is a data error."""
+    out = np.zeros((len(label_sets), n_labels))
+    for i, labs in enumerate(label_sets):
+        for lab in labs:
+            if not 0 <= lab < n_labels:
+                raise ValueError("label id %d in row %d is outside the "
+                                 "%d-label vocabulary" % (lab, i, n_labels))
             out[i, lab] = 1.0
     return out

@@ -182,26 +182,43 @@ def write_predictions(predictions, path):
 
 def read_predictions(path, truths_by_video=None):
     """Read a prediction file; ground truth is attached from
-    `truths_by_video` (video_id -> label set) when provided."""
+    `truths_by_video` (video_id -> label set) when provided, and the file
+    must then hold exactly one row per (video, label) of that partition."""
     rows = {}
     n_labels = 0
-    order = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
-            vid, e, score = parts[0], int(parts[1]), float(parts[2])
-            if vid not in rows:
-                rows[vid] = {}
-                order.append(vid)
-            rows[vid][e] = score
-            n_labels = max(n_labels, e + 1)
+            try:
+                vid, e, score = parts
+                e, score = int(e), float(score)
+            except ValueError:
+                raise ValueError("%s: row %r is not 'video label score'"
+                                 % (path, line.strip())) from None
+            labels = rows.get(vid)
+            if labels is None:
+                labels = rows[vid] = {}
+            if e < 0 or e in labels:
+                raise ValueError("%s: negative or duplicate label %d for "
+                                 "video %s" % (path, e, vid))
+            labels[e] = score
+            if e >= n_labels:
+                n_labels = e + 1
+    order = list(rows)
+    truths = [frozenset()] * len(order)
+    if truths_by_video is not None:
+        for vid in order + list(truths_by_video):
+            found = len(rows.get(vid, ()))
+            if vid not in truths_by_video or found != n_labels:
+                raise ValueError("%s: video %s has %d of %d label rows%s"
+                                 % (path, vid, found, n_labels,
+                                    "" if vid in truths_by_video
+                                    else " and is not in the partition"))
+        truths = [truths_by_video[vid] for vid in order]
     scores = np.zeros((len(order), n_labels))
-    truths = []
     for v, vid in enumerate(order):
         for e, s in rows[vid].items():
             scores[v, e] = s
-        truths.append(frozenset(truths_by_video.get(vid, frozenset()))
-                      if truths_by_video else frozenset())
     return PredictionSet(video_ids=order, scores=scores, truths=truths)

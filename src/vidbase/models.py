@@ -1,17 +1,24 @@
 """Per-label binary classifiers: logistic regression, online hinge (SVM),
-and Mixture of Experts, with exact analytic gradients and serialization.
+and Mixture of Experts, with their losses, exact gradients and
+serialization.
 
 All feature vectors are (D+1)-dimensional with a constant-1 last coordinate
 acting as the bias feature. The bias coordinate is excluded from L2
 regularization. Models carry their Adagrad accumulators so training is
 resumable after serialization.
+
+Each model has one `loss(X, y, w)`, sum_i w_i l(x_i, y_i) plus
+l2 ||W[..., :-1]||^2 over a batch (one example is a batch of one), and one
+`gradient`, its exact derivative with the L2 term scaled by `reg_scale` (a
+mini-batch's share of the sample). `params` pairs each parameter block with
+its Adagrad accumulator, in the order `gradient` returns the blocks.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 MODEL_MAGIC = b"YT8MMDL0"
 MODEL_VERSION = 1
@@ -64,6 +71,22 @@ class LogisticModel:
     def kind(self):
         return KIND_LOGISTIC
 
+    @property
+    def params(self):
+        return ((self.weights, self.grad_sq),)
+
+    def loss(self, x, y, w):
+        """Log loss of sigmoid(z), z = X w, written as log(1 + e^z) - y z so
+        that it is exact for any z."""
+        z = x @ self.weights
+        return float(w @ (np.logaddexp(0.0, z) - y * z)) + _l2_penalty(self)
+
+    def gradient(self, x, y, w, reg_scale=1.0):
+        """(sigmoid(z) - y) x per row: exact for any z, so the probability
+        clamp of logistic_predict is not applied here."""
+        grad = ((expit(x @ self.weights) - y) * w) @ x
+        return (_add_l2(grad, self.weights, 2.0 * self.l2 * reg_scale),)
+
 
 @dataclass
 class HingeModel:
@@ -86,6 +109,22 @@ class HingeModel:
     @property
     def kind(self):
         return KIND_HINGE
+
+    @property
+    def params(self):
+        return ((self.weights, self.grad_sq),)
+
+    def loss(self, x, y, w):
+        """max(0, b - s w.x) per row, with s = 2y - 1."""
+        slack = self.margin - (2.0 * y - 1.0) * (x @ self.weights)
+        return float(w @ np.maximum(slack, 0.0)) + _l2_penalty(self)
+
+    def gradient(self, x, y, w, reg_scale=1.0):
+        """Subgradient of `loss`; the zero side is taken at the kink."""
+        s = 2.0 * y - 1.0
+        active = self.margin - s * (x @ self.weights) > 0.0
+        grad = -((s * w * active) @ x)
+        return (_add_l2(grad, self.weights, 2.0 * self.l2 * reg_scale),)
 
 
 @dataclass
@@ -117,18 +156,33 @@ class MoEModel:
                    experts=np.zeros((n_experts, dim + 1)), l2=l2)
 
     @property
-    def n_experts(self):
-        return self.gating.shape[0]
-
-    @property
     def kind(self):
         return KIND_MOE
 
+    @property
+    def params(self):
+        return ((self.gating, self.gating_grad_sq),
+                (self.experts, self.expert_grad_sq))
 
-@dataclass
-class GradientPair:
-    d_gating: np.ndarray
-    d_expert: np.ndarray
+    def loss(self, x, y, w):
+        return float(w @ log_loss(moe_predict(self, x), y)) + _l2_penalty(self)
+
+    def gradient(self, x, y, w, reg_scale=1.0):
+        return moe_gradients_batch(self, x, y, w, reg_scale)
+
+
+def _l2_penalty(model):
+    """l2 * ||W[..., :-1]||^2 over every parameter block (bias excluded)."""
+    return model.l2 * sum(float(np.sum(param[..., :-1] ** 2))
+                          for param, _ in model.params)
+
+
+def _add_l2(grad, param, coef):
+    """grad += coef * param with the bias coordinate left out."""
+    reg = coef * param
+    reg[..., -1] = 0.0
+    grad += reg
+    return grad
 
 
 def logistic_predict(model, x):
@@ -137,31 +191,18 @@ def logistic_predict(model, x):
     return _clamp(expit(x @ model.weights))
 
 
-def logistic_gradient(model, x, g):
-    """Gradient of log_loss(sigmoid(w.x), g) + l2*||w[:-1]||^2 w.r.t. w."""
-    x = np.asarray(x, dtype=np.float64)
-    p = expit(x @ model.weights)
-    grad = (p - g) * x
-    reg = 2.0 * model.l2 * model.weights
-    reg[-1] = 0.0  # bias unregularized
-    return grad + reg
-
-
 def hinge_predict(model, x):
     """Raw margin score w.x (not a probability)."""
     x = np.asarray(x, dtype=np.float64)
     return x @ model.weights
 
 
-def hinge_loss_and_subgradient(model, x, g):
-    """loss = max(0, b - s*w.x) with s = 2g - 1; zero side taken at the kink."""
-    x = np.asarray(x, dtype=np.float64)
-    s = 2.0 * g - 1.0
-    score = x @ model.weights
-    slack = model.margin - s * score
-    if slack > 0.0:
-        return slack, -s * x
-    return 0.0, np.zeros_like(x)
+def _gate_log_normalizer(act):
+    """log(1 + sum_h e^a_h) per row of the (N, H) gating activations: the
+    log-sum-exp over the experts and the dummy state's implicit zero,
+    shifted by m = max(0, max_h a_h) so that no exponent is positive."""
+    m = np.maximum(act.max(axis=1, keepdims=True), 0.0)
+    return m + np.log(np.exp(-m) + np.exp(act - m).sum(axis=1, keepdims=True))
 
 
 def moe_gating(model, x):
@@ -169,11 +210,8 @@ def moe_gating(model, x):
     remaining mass); works on a vector or (N, D+1) matrix."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    batch = np.atleast_2d(x)
-    act = batch @ model.gating.T                          # (N, H)
-    padded = np.concatenate([np.zeros((batch.shape[0], 1)), act], axis=1)
-    norm = logsumexp(padded, axis=1, keepdims=True)
-    gate = np.exp(act - norm)
+    act = np.atleast_2d(x) @ model.gating.T                # (N, H)
+    gate = np.exp(act - _gate_log_normalizer(act))
     return gate[0] if single else gate
 
 
@@ -189,29 +227,17 @@ def moe_predict(model, x):
     return p[0] if single else p
 
 
-def moe_gradients(model, x, g):
-    """Analytic log-loss gradients w.r.t. gating and expert weights
-    (regularizer excluded; the trainer adds it)."""
-    x = np.asarray(x, dtype=np.float64)
-    gate = moe_gating(model, x)                  # (H,)
-    p_expert = expit(model.experts @ x)          # (H,)
-    p = _clamp(np.sum(gate * p_expert))
-    common = (p - g) / (p * (1.0 - p))
-    d_gating = np.outer(gate * (p_expert - p) * common, x)
-    d_expert = np.outer(gate * p_expert * (1.0 - p_expert) * common, x)
-    return GradientPair(d_gating=d_gating, d_expert=d_expert)
-
-
-def moe_gradients_batch(model, x_batch, g_batch, sample_weights):
-    """Weighted sum of per-example gradients over a mini-batch."""
-    x_batch = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
-    gate = np.atleast_2d(moe_gating(model, x_batch))        # (N, H)
-    p_expert = expit(x_batch @ model.experts.T)             # (N, H)
+def moe_gradients_batch(model, x, y, w, reg_scale=1.0):
+    """Gradients of MoEModel.loss w.r.t. the gating and expert weights."""
+    gate = moe_gating(model, x)                             # (N, H)
+    p_expert = expit(x @ model.experts.T)                   # (N, H)
     p = _clamp(np.sum(gate * p_expert, axis=1))             # (N,)
-    common = sample_weights * (p - g_batch) / (p * (1.0 - p))
-    d_gating = (gate * (p_expert - p[:, None]) * common[:, None]).T @ x_batch
-    d_expert = (gate * p_expert * (1.0 - p_expert) * common[:, None]).T @ x_batch
-    return GradientPair(d_gating=d_gating, d_expert=d_expert)
+    common = (w * (p - y) / (p * (1.0 - p)))[:, None]
+    coef = 2.0 * model.l2 * reg_scale
+    d_gating = (gate * (p_expert - p[:, None]) * common).T @ x
+    d_expert = (gate * p_expert * (1.0 - p_expert) * common).T @ x
+    return (_add_l2(d_gating, model.gating, coef),
+            _add_l2(d_expert, model.experts, coef))
 
 
 def predict(model, x):

@@ -1,10 +1,10 @@
 """Online per-label training: capped sampling with distribution-preserving
-reweighting, Adagrad updates, frame-level label assignment, per-label
-parallel orchestration, and frame-level inference via average pooling."""
+reweighting, Adagrad updates through each model's own loss and gradient,
+frame-level label assignment, and frame-level inference via average
+pooling."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,58 +118,19 @@ def expand_frame_examples(videos, frames_per_video, seed):
             np.asarray(video_index))
 
 
-def _weighted_loss(model, x, y, weights):
-    """Eq.-style objective over a sample: sum_i w_i * per-example loss,
-    plus the L2 penalty (bias coordinate excluded)."""
-    if model.kind == M.KIND_LOGISTIC:
-        loss = float(np.sum(weights * M.log_loss(M.logistic_predict(model, x), y)))
-        penalty = model.l2 * float(np.sum(model.weights[:-1] ** 2))
-    elif model.kind == M.KIND_HINGE:
-        s = 2.0 * y - 1.0
-        slack = np.maximum(0.0, model.margin - s * (x @ model.weights))
-        loss = float(np.sum(weights * slack))
-        penalty = model.l2 * float(np.sum(model.weights[:-1] ** 2))
-    else:
-        loss = float(np.sum(weights * M.log_loss(M.moe_predict(model, x), y)))
-        penalty = model.l2 * (float(np.sum(model.gating[:, :-1] ** 2))
-                              + float(np.sum(model.experts[:, :-1] ** 2)))
-    return loss + penalty
-
-
 def _adagrad_step(weights, grad_sq, grad, lr, eps):
     grad_sq += grad * grad
     weights -= lr * grad / np.sqrt(grad_sq + eps)
 
 
 def _batch_update(model, xb, yb, wb, reg_scale, cfg):
-    """One Adagrad update from a weighted mini-batch. The regularizer
-    contribution is scaled by the batch's share of the sample so one pass
-    applies it exactly once."""
-    if model.kind == M.KIND_MOE:
-        grads = M.moe_gradients_batch(model, xb, yb, wb)
-        reg_g = 2.0 * model.l2 * model.gating * reg_scale
-        reg_u = 2.0 * model.l2 * model.experts * reg_scale
-        reg_g[:, -1] = 0.0
-        reg_u[:, -1] = 0.0
-        _adagrad_step(model.gating, model.gating_grad_sq,
-                      grads.d_gating + reg_g, cfg.learning_rate,
+    """One Adagrad update of every parameter block from a weighted
+    mini-batch. The regularizer's gradient is scaled by the batch's share
+    of the sample so one pass applies it exactly once."""
+    grads = model.gradient(xb, yb, wb, reg_scale)
+    for (param, grad_sq), grad in zip(model.params, grads):
+        _adagrad_step(param, grad_sq, grad, cfg.learning_rate,
                       cfg.adagrad_epsilon)
-        _adagrad_step(model.experts, model.expert_grad_sq,
-                      grads.d_expert + reg_u, cfg.learning_rate,
-                      cfg.adagrad_epsilon)
-        return
-
-    if model.kind == M.KIND_LOGISTIC:
-        p = M.logistic_predict(model, xb)
-        grad = xb.T @ ((p - yb) * wb)
-    else:
-        s = 2.0 * yb - 1.0
-        active = (model.margin - s * (xb @ model.weights)) > 0.0
-        grad = -(xb.T @ (s * wb * active))
-    reg = 2.0 * model.l2 * model.weights * reg_scale
-    reg[-1] = 0.0
-    _adagrad_step(model.weights, model.grad_sq, grad + reg,
-                  cfg.learning_rate, cfg.adagrad_epsilon)
 
 
 def _make_model(dim, cfg):
@@ -201,7 +162,7 @@ def train_label(model, x, y, cfg, label_id):
         xs, ys = x[idx], y[idx]
 
         if it == 0:
-            trace.append(_weighted_loss(model, xs, ys, wts))
+            trace.append(model.loss(xs, ys, wts))
 
         n = len(idx)
         for start in range(0, n, cfg.batch_size):
@@ -209,7 +170,7 @@ def train_label(model, x, y, cfg, label_id):
             _batch_update(model, xs[start:stop], ys[start:stop],
                           wts[start:stop], (stop - start) / n, cfg)
 
-        loss = _weighted_loss(model, xs, ys, wts)
+        loss = model.loss(xs, ys, wts)
         if not np.isfinite(loss):
             raise TrainingError("non-finite loss for label %d at iteration %d"
                                 % (label_id, it))
@@ -217,13 +178,10 @@ def train_label(model, x, y, cfg, label_id):
     return model, trace
 
 
-def train_all(vocab, x, y_matrix, cfg, n_workers=1):
-    """Train one model per label, independently and in parallel. The result
-    is invariant to the worker count: each label's RNG stream is derived
-    from (cfg.seed, label_id) only. Labels without both classes are skipped
-    and reported, not fatal."""
-    if n_workers < 1:
-        raise ValueError("worker count must be >= 1")
+def train_all(vocab, x, y_matrix, cfg):
+    """Train one model per label, one label after another. Each label's RNG
+    streams are derived from (cfg.seed, label_id) only. Labels without both
+    classes are skipped and reported, not fatal."""
     x = np.asarray(x, dtype=np.float64)
     dim = x.shape[1] - 1
 
@@ -242,13 +200,7 @@ def train_all(vocab, x, y_matrix, cfg, n_workers=1):
                                reason=str(exc))
         return LabelResult(label_id, model, trace)
 
-    label_ids = [lid for lid, _ in vocab.labels]
-    if n_workers == 1:
-        results = [run(lid) for lid in label_ids]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, label_ids))
-    return {r.label_id: r for r in results}
+    return {lid: run(lid) for lid, _ in vocab.labels}
 
 
 def predict_video_frame_level(bank, frames):

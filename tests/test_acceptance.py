@@ -38,45 +38,43 @@ def _central_diff(f, arr, i, step=FD_STEP):
 # ------------------------------------------------------------ criterion 1
 
 def test_criterion_1_gradient_correctness():
-    """Analytic gradients match central finite differences (1e-6 rel /
-    1e-8 abs) for logistic, hinge away from the kink, and MoE H in
-    {1, 2, 4}, on 1000 random instances per kind, in under 30 s."""
+    """The loss and gradient the trainer calls (`model.loss`,
+    `model.gradient`) match central finite differences (1e-6 rel / 1e-8
+    abs) for logistic, hinge away from the kink, and MoE H in {1, 2, 4},
+    with the L2 term and batches of 1 to 4 weighted rows, on 1000 random
+    instances per kind, in under 30 s."""
     start = time.time()
     rng = np.random.default_rng(101)
     checked = 0
 
-    # logistic (with L2 term included in the analytic gradient)
+    def batch(dim):
+        n = int(rng.integers(1, 5))
+        return (M.add_bias(rng.standard_normal((n, dim))),
+                rng.integers(0, 2, size=n).astype(float), 0.5 + rng.random(n))
+
+    # logistic
     for _ in range(1000):
         dim = int(rng.integers(1, 17))
-        m = M.LogisticModel(weights=rng.standard_normal(dim + 1), l2=1e-4)
-        x = M.add_bias(rng.standard_normal(dim))
-        g = float(rng.integers(0, 2))
-
-        def loss():
-            pen = m.l2 * float(np.sum(m.weights[:-1] ** 2))
-            return float(M.log_loss(M.logistic_predict(m, x), g)) + pen
-
-        grad = M.logistic_gradient(m, x, g)
+        m = M.LogisticModel(weights=rng.standard_normal(dim + 1), l2=1e-3)
+        x, y, w = batch(dim)
+        (grad,) = m.gradient(x, y, w)
         i = int(rng.integers(0, dim + 1))  # one random coordinate per instance
-        assert _fd_ok(grad[i], _central_diff(loss, m.weights, i))
+        assert _fd_ok(grad[i],
+                      _central_diff(lambda: m.loss(x, y, w), m.weights, i))
         checked += 1
 
-    # hinge, instances near the kink resampled
+    # hinge, instances with any row near the kink resampled
     done = 0
     while done < 1000:
         dim = int(rng.integers(1, 17))
-        m = M.HingeModel(weights=rng.standard_normal(dim + 1))
-        x = M.add_bias(rng.standard_normal(dim))
-        g = float(rng.integers(0, 2))
-        if abs(m.margin - (2 * g - 1) * (m.weights @ x)) < 1e-3:
+        m = M.HingeModel(weights=rng.standard_normal(dim + 1), l2=1e-3)
+        x, y, w = batch(dim)
+        if np.min(np.abs(m.margin - (2 * y - 1) * (x @ m.weights))) < 1e-3:
             continue
-        _, sub = M.hinge_loss_and_subgradient(m, x, g)
-
-        def loss():
-            return M.hinge_loss_and_subgradient(m, x, g)[0]
-
+        (sub,) = m.gradient(x, y, w)
         i = int(rng.integers(0, dim + 1))
-        assert _fd_ok(sub[i], _central_diff(loss, m.weights, i))
+        assert _fd_ok(sub[i],
+                      _central_diff(lambda: m.loss(x, y, w), m.weights, i))
         done += 1
         checked += 1
 
@@ -85,17 +83,14 @@ def test_criterion_1_gradient_correctness():
         h = (1, 2, 4)[n % 3]
         dim = int(rng.integers(1, 17))
         m = M.MoEModel(gating=0.5 * rng.standard_normal((h, dim + 1)),
-                       experts=0.5 * rng.standard_normal((h, dim + 1)))
-        x = M.add_bias(rng.standard_normal(dim))
-        g = float(rng.integers(0, 2))
-
-        def loss():
-            return float(M.log_loss(M.moe_predict(m, x), g))
-
-        pair = M.moe_gradients(m, x, g)
+                       experts=0.5 * rng.standard_normal((h, dim + 1)),
+                       l2=1e-3)
+        x, y, w = batch(dim)
+        d_gating, d_expert = m.gradient(x, y, w)
         i = int(rng.integers(0, m.gating.size))
-        assert _fd_ok(pair.d_gating.flat[i], _central_diff(loss, m.gating, i))
-        assert _fd_ok(pair.d_expert.flat[i], _central_diff(loss, m.experts, i))
+        loss = lambda: m.loss(x, y, w)
+        assert _fd_ok(d_gating.flat[i], _central_diff(loss, m.gating, i))
+        assert _fd_ok(d_expert.flat[i], _central_diff(loss, m.experts, i))
         checked += 1
 
     elapsed = time.time() - start
@@ -326,7 +321,8 @@ def test_criterion_7_end_to_end_benchmark(tmp_path):
 
 def test_criterion_8_determinism(tmp_path):
     """Re-running the criterion-7 pipeline with the same seed gives
-    byte-identical model banks and reports; workers 1 vs 8 change nothing."""
+    byte-identical model banks and reports; workers 1 vs 8 change nothing
+    (the flag is accepted and has no effect)."""
     runs = {}
     for tag, workers in (("a", 1), ("b", 1), ("w8", 8)):
         root = tmp_path / tag
@@ -366,18 +362,12 @@ def test_criterion_9_convexity_sanity():
         model = M.LogisticModel.zeros(dim, l2=1e-6)
         lr = 0.5 / n  # safe step: the logistic Hessian bound is n/4 per coord
 
-        def full_loss():
-            pen = model.l2 * float(np.sum(model.weights[:-1] ** 2))
-            return float(np.sum(M.log_loss(
-                M.logistic_predict(model, x), y))) + pen
-
-        prev = full_loss()
+        w = np.ones(n)
+        prev = model.loss(x, y, w)
         for _ in range(100):
-            grad = x.T @ (M.logistic_predict(model, x) - y)
-            reg = 2.0 * model.l2 * model.weights
-            reg[-1] = 0.0
-            model.weights -= lr * (grad + reg)
-            cur = full_loss()
+            (grad,) = model.gradient(x, y, w)
+            model.weights -= lr * grad
+            cur = model.loss(x, y, w)
             assert cur <= prev + 1e-12
             prev = cur
     print("[PASS] criterion 9: full-batch logistic loss non-increasing over "

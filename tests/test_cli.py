@@ -198,6 +198,9 @@ def test_exit_codes():
     assert run("train", "--out", "/tmp/vidbase-nope2", "--level", "frame",
                "--vocab-dir", "/does/not/exist") in (cli.EXIT_USAGE,
                                                      cli.EXIT_DATA)
+    # --workers has no effect but must still be >= 1 -> data error
+    assert run("train", "--out", "/tmp/vidbase-nope3",
+               "--workers", "0") == cli.EXIT_DATA
 
 
 def test_evaluate_label_count_mismatch(corpus, tmp_path):
@@ -213,3 +216,51 @@ def test_evaluate_label_count_mismatch(corpus, tmp_path):
     # refused either at prediction parsing (data) or label-count check (usage)
     assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
     assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("fault,edit", [
+    ("missing video", lambda lines: lines[8:]),
+    ("missing label", lambda lines: lines[:5] + lines[6:]),
+    ("duplicate row", lambda lines: lines + lines[6:7]),
+    ("short row", lambda lines: lines[:3] + [lines[3].rsplit(" ", 1)[0]]
+     + lines[4:]),
+    ("bad score", lambda lines: lines[:3] + [lines[3].rsplit(" ", 1)[0]
+                                             + " x"] + lines[4:]),
+    ("foreign video", lambda lines: lines + ["x999999 %d 0.5" % e
+                                             for e in range(4)]),
+])
+def test_evaluate_rejects_partial_or_malformed_predictions(
+        corpus, encoded, bank, tmp_path, capsys, fault, edit):
+    preds = tmp_path / "preds.txt"
+    assert run("predict", "--bank", str(bank), "--descriptors", str(encoded),
+               "--partition", "test", "--out", str(preds)) == cli.EXIT_OK
+    lines = preds.read_text().splitlines()
+    bad_video = {"missing video": lines[0], "missing label": lines[4],
+                 "duplicate row": lines[6], "short row": lines[3],
+                 "bad score": lines[3],
+                 "foreign video": "x999999"}[fault].split()[0]
+    preds.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    for command in ("evaluate", "oracle"):
+        argv = [command, "--predictions", str(preds),
+                "--descriptors", str(encoded), "--partition", "test"]
+        if command == "evaluate":
+            argv += ["--out", str(tmp_path / "r.txt")]
+        assert run(*argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(preds) in err and bad_video in err
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_train_rejects_label_outside_vocabulary(corpus, encoded, tmp_path):
+    desc = tmp_path / "desc"
+    desc.mkdir()
+    for name in os.listdir(encoded):
+        (desc / name).write_bytes((encoded / name).read_bytes())
+    lines = (desc / "train.labels").read_text().splitlines()
+    lines[0] = lines[0].split()[0] + " 3,99"
+    (desc / "train.labels").write_text("\n".join(lines) + "\n")
+    code = run("train", "--descriptors", str(desc), "--vocab-dir", str(corpus),
+               "--out", str(tmp_path / "bank"), "--model", "logistic",
+               "--iterations", "1")
+    assert code == cli.EXIT_DATA

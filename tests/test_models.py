@@ -1,18 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from vidbase import models as M
 
 FD_STEP = 1e-5
 
 
-def random_moe(rng, n_experts, dim, scale=0.5):
+def random_moe(rng, n_experts, dim, scale=0.5, l2=M.DEFAULT_L2):
     return M.MoEModel(gating=scale * rng.standard_normal((n_experts, dim + 1)),
-                      experts=scale * rng.standard_normal((n_experts, dim + 1)))
+                      experts=scale * rng.standard_normal((n_experts, dim + 1)),
+                      l2=l2)
 
 
-def moe_loss(model, x, g):
-    return float(M.log_loss(M.moe_predict(model, x), g))
+def one(x, g):
+    """A single example as a batch of one with unit weight."""
+    return np.atleast_2d(x), np.array([float(g)]), np.ones(1)
+
+
+def random_batch(rng, dim, n):
+    return (M.add_bias(rng.standard_normal((n, dim))),
+            rng.integers(0, 2, size=n).astype(float), 0.5 + rng.random(n))
 
 
 def central_diff(f, arr, i, step=FD_STEP):
@@ -85,20 +95,20 @@ def test_moe_h1_product_of_logistics():
 
 def test_moe_gradient_zero_when_p_equals_g():
     rng = np.random.default_rng(3)
-    m = random_moe(rng, 2, 3)
+    m = random_moe(rng, 2, 3, l2=0.0)
     x = M.add_bias(rng.standard_normal(3))
     g = float(M.moe_predict(m, x))
-    pair = M.moe_gradients(m, x, g)
-    assert np.allclose(pair.d_gating, 0.0, atol=1e-15)
-    assert np.allclose(pair.d_expert, 0.0, atol=1e-15)
+    d_gating, d_expert = m.gradient(*one(x, g))
+    assert np.allclose(d_gating, 0.0, atol=1e-15)
+    assert np.allclose(d_expert, 0.0, atol=1e-15)
 
 
 def test_moe_hand_gradient():
     m = M.MoEModel.zeros(1, n_experts=1)
     x = np.array([1.0, 1.0])  # bias included
-    pair = M.moe_gradients(m, x, 1.0)
-    assert np.allclose(pair.d_gating, -0.5 * x.reshape(1, -1), atol=1e-12)
-    assert np.allclose(pair.d_expert, -0.5 * x.reshape(1, -1), atol=1e-12)
+    d_gating, d_expert = m.gradient(*one(x, 1.0))
+    assert np.allclose(d_gating, -0.5 * x.reshape(1, -1), atol=1e-12)
+    assert np.allclose(d_expert, -0.5 * x.reshape(1, -1), atol=1e-12)
 
 
 @pytest.mark.parametrize("n_experts", [1, 2, 4])
@@ -106,31 +116,50 @@ def test_moe_gradients_finite_difference(n_experts):
     rng = np.random.default_rng(10 + n_experts)
     for _ in range(50):
         dim = int(rng.integers(1, 8))
-        m = random_moe(rng, n_experts, dim)
-        x = M.add_bias(rng.standard_normal(dim))
-        g = float(rng.integers(0, 2))
-        pair = M.moe_gradients(m, x, g)
-        for i in range(m.gating.size):
-            num = central_diff(lambda: moe_loss(m, x, g), m.gating, i)
-            assert_close(pair.d_gating.flat[i], num)
-        for i in range(m.experts.size):
-            num = central_diff(lambda: moe_loss(m, x, g), m.experts, i)
-            assert_close(pair.d_expert.flat[i], num)
+        m = random_moe(rng, n_experts, dim, l2=1e-3)
+        x, y, w = random_batch(rng, dim, int(rng.integers(1, 5)))
+        loss = lambda: m.loss(x, y, w)
+        for param, grad in zip((m.gating, m.experts), m.gradient(x, y, w)):
+            for i in range(param.size):
+                assert_close(grad.flat[i], central_diff(loss, param, i))
 
 
-def test_moe_batch_gradients_match_sum():
+def test_moe_gate_normalizer_matches_logsumexp():
+    rng = np.random.default_rng(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1e-3, 1.0, 30.0, 800.0, 1e5):
+            for h in (1, 2, 4):
+                act = scale * rng.standard_normal((64, h))
+                act[0] = scale          # every activation at the top
+                act[1] = -scale         # the dummy state dominates
+                got = M._gate_log_normalizer(act)
+                ref = logsumexp(np.concatenate(
+                    [np.zeros((len(act), 1)), act], axis=1),
+                    axis=1, keepdims=True)
+                assert np.all(np.abs(got - ref)
+                              <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "hinge", "moe"])
+def test_batch_gradients_match_sum(kind):
+    """A batch gradient is the sum of its rows' batch-of-1 gradients, each
+    carrying 1/N of the regularizer."""
     rng = np.random.default_rng(4)
-    m = random_moe(rng, 2, 3)
-    xb = M.add_bias(rng.standard_normal((6, 3)))
-    gb = rng.integers(0, 2, size=6).astype(float)
-    wts = rng.random(6)
-    batch = M.moe_gradients_batch(m, xb, gb, wts)
-    ref_g = sum(w * M.moe_gradients(m, x, g).d_gating
-                for x, g, w in zip(xb, gb, wts))
-    ref_u = sum(w * M.moe_gradients(m, x, g).d_expert
-                for x, g, w in zip(xb, gb, wts))
-    assert np.allclose(batch.d_gating, ref_g, atol=1e-12)
-    assert np.allclose(batch.d_expert, ref_u, atol=1e-12)
+    dim, n = 3, 6
+    m = {"logistic": M.LogisticModel(weights=rng.standard_normal(dim + 1),
+                                     l2=1e-2),
+         "hinge": M.HingeModel(weights=rng.standard_normal(dim + 1), l2=1e-2),
+         "moe": random_moe(rng, 2, dim, l2=1e-2)}[kind]
+    xb, yb, wb = random_batch(rng, dim, n)
+    batch = m.gradient(xb, yb, wb)
+    rows = [m.gradient(xb[i:i + 1], yb[i:i + 1], wb[i:i + 1], 1.0 / n)
+            for i in range(n)]
+    assert len(batch) == len(m.params)
+    for k, block in enumerate(batch):
+        assert block.shape == m.params[k][0].shape
+        np.testing.assert_allclose(block, sum(r[k] for r in rows),
+                                   rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------- logistic
@@ -160,7 +189,7 @@ def test_logistic_high_precision():
 def test_logistic_gradient_at_zero():
     m = M.LogisticModel.zeros(3)
     x = M.add_bias(np.array([1.0, -2.0, 0.5]))
-    grad = M.logistic_gradient(m, x, 0.5)
+    (grad,) = m.gradient(*one(x, 0.5))
     assert np.allclose(grad, 0.0, atol=1e-15)
 
 
@@ -168,8 +197,8 @@ def test_logistic_gradient_sign():
     rng = np.random.default_rng(6)
     m = M.LogisticModel(weights=rng.standard_normal(3), l2=0.0)
     x = M.add_bias(np.array([2.0, -1.0]))
-    up = M.logistic_gradient(m, x, 1.0)
-    down = M.logistic_gradient(m, x, 0.0)
+    (up,) = m.gradient(*one(x, 1.0))
+    (down,) = m.gradient(*one(x, 0.0))
     # moving against the gradient raises w.x for g=1, lowers it for g=0
     assert -up @ x > 0
     assert -down @ x < 0
@@ -179,54 +208,57 @@ def test_logistic_gradient_finite_difference():
     rng = np.random.default_rng(7)
     for _ in range(50):
         m = M.LogisticModel(weights=rng.standard_normal(6), l2=1e-3)
-        x = M.add_bias(rng.standard_normal(5))
-        g = float(rng.integers(0, 2))
-
-        def loss():
-            penalty = m.l2 * float(np.sum(m.weights[:-1] ** 2))
-            return float(M.log_loss(M.logistic_predict(m, x), g)) + penalty
-
-        grad = M.logistic_gradient(m, x, g)
+        x, y, w = random_batch(rng, 5, int(rng.integers(1, 5)))
+        (grad,) = m.gradient(x, y, w)
         for i in range(len(m.weights)):
-            assert_close(grad[i], central_diff(loss, m.weights, i))
+            assert_close(grad[i],
+                         central_diff(lambda: m.loss(x, y, w), m.weights, i))
+
+
+def test_logistic_loss_is_log_loss_of_prediction():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        m = M.LogisticModel(weights=rng.standard_normal(6), l2=1e-3)
+        x, y, w = random_batch(rng, 5, 8)
+        ref = (float(w @ M.log_loss(M.logistic_predict(m, x), y))
+               + m.l2 * float(np.sum(m.weights[:-1] ** 2)))
+        assert m.loss(x, y, w) == pytest.approx(ref, rel=1e-12)
+    # far past the probability clamp the loss and gradient stay exact
+    m = M.LogisticModel(weights=np.array([-800.0, 0.0]), l2=0.0)
+    x, y, w = one(np.array([1.0, 1.0]), 1.0)
+    assert m.loss(x, y, w) == 800.0
+    assert np.array_equal(m.gradient(x, y, w)[0], -x[0])
 
 
 # ---------------------------------------------------------------- hinge
 
 def test_hinge_direct_formula():
-    m = M.HingeModel(weights=np.array([0.5, 0.0]))
+    m = M.HingeModel(weights=np.array([0.5, 0.0]), l2=0.0)
     x = np.array([1.0, 1.0])
-    loss, sub = M.hinge_loss_and_subgradient(m, x, 1.0)
-    assert loss == pytest.approx(0.5)
-    assert np.array_equal(sub, -x)
+    assert m.loss(*one(x, 1.0)) == pytest.approx(0.5)
+    assert np.array_equal(m.gradient(*one(x, 1.0))[0], -x)
 
 
 def test_hinge_margin_satisfied():
-    m = M.HingeModel(weights=np.array([2.0, 0.0]))
+    m = M.HingeModel(weights=np.array([2.0, 0.0]), l2=0.0)
     x = np.array([1.0, 1.0])
-    loss, sub = M.hinge_loss_and_subgradient(m, x, 1.0)
-    assert loss == 0.0
-    assert np.all(sub == 0.0)
+    assert m.loss(*one(x, 1.0)) == 0.0
+    assert np.all(m.gradient(*one(x, 1.0))[0] == 0.0)
 
 
 def test_hinge_subgradient_finite_difference():
     rng = np.random.default_rng(8)
     checked = 0
     while checked < 50:
-        m = M.HingeModel(weights=rng.standard_normal(4))
-        x = M.add_bias(rng.standard_normal(3))
-        g = float(rng.integers(0, 2))
-        s = 2 * g - 1
-        if abs(m.margin - s * (m.weights @ x)) < 1e-3:
+        m = M.HingeModel(weights=rng.standard_normal(4), l2=1e-3)
+        x, y, w = random_batch(rng, 3, int(rng.integers(1, 5)))
+        s = 2 * y - 1
+        if np.min(np.abs(m.margin - s * (x @ m.weights))) < 1e-3:
             continue  # stay away from the kink
-        _, sub = M.hinge_loss_and_subgradient(m, x, g)
-
-        def loss():
-            l, _ = M.hinge_loss_and_subgradient(m, x, g)
-            return l
-
+        (sub,) = m.gradient(x, y, w)
         for i in range(len(m.weights)):
-            assert_close(sub[i], central_diff(loss, m.weights, i))
+            assert_close(sub[i],
+                         central_diff(lambda: m.loss(x, y, w), m.weights, i))
         checked += 1
 
 

@@ -205,19 +205,6 @@ def _bank_problem(seed=7, n=240, n_labels=4, dim=3):
     return M.add_bias(rows), y
 
 
-def test_train_all_worker_invariance():
-    x, y = _bank_problem()
-    vocab = data.LabelVocabulary.trivial(y.shape[1])
-    cfg = tr.TrainerConfig(model_kind="moe", iterations=5, learning_rate=0.5,
-                           seed=6)
-    serial = tr.train_all(vocab, x, y, cfg, n_workers=1)
-    parallel = tr.train_all(vocab, x, y, cfg, n_workers=8)
-    for lid in serial:
-        a, b = serial[lid].model, parallel[lid].model
-        assert M.serialize_model(a) == M.serialize_model(b)
-        assert serial[lid].loss_trace == parallel[lid].loss_trace
-
-
 def test_train_all_skips_single_class_labels():
     x, y = _bank_problem(n_labels=3)
     y = np.concatenate([y, np.zeros((len(y), 1))], axis=1)  # label 3 empty
@@ -228,14 +215,16 @@ def test_train_all_skips_single_class_labels():
     assert all(not results[e].skipped for e in range(3))
 
 
-def test_train_all_deterministic_rerun():
+@pytest.mark.parametrize("kind", ["logistic", "moe"])
+def test_train_all_deterministic_rerun(kind):
     x, y = _bank_problem(seed=8)
     vocab = data.LabelVocabulary.trivial(y.shape[1])
-    cfg = tr.TrainerConfig(model_kind="logistic", iterations=4, seed=8)
+    cfg = tr.TrainerConfig(model_kind=kind, iterations=4, seed=8)
     a = tr.train_all(vocab, x, y, cfg)
     b = tr.train_all(vocab, x, y, cfg)
     for lid in a:
         assert M.serialize_model(a[lid].model) == M.serialize_model(b[lid].model)
+        assert a[lid].loss_trace == b[lid].loss_trace
 
 
 # ----------------------------------------------------------- prediction
@@ -272,15 +261,10 @@ def test_full_batch_logistic_loss_non_increasing():
     lr = 0.05
     w = np.ones(len(y))
 
-    def full_loss():
-        return tr._weighted_loss(model, x, y, w)
-
-    prev = full_loss()
+    prev = model.loss(x, y, w)
     for _ in range(100):
-        grad = x.T @ (M.logistic_predict(model, x) - y)
-        reg = 2.0 * model.l2 * model.weights
-        reg[-1] = 0.0
-        model.weights -= lr * (grad + reg)
-        cur = full_loss()
+        (grad,) = model.gradient(x, y, w)
+        model.weights -= lr * grad
+        cur = model.loss(x, y, w)
         assert cur <= prev + 1e-12
         prev = cur
