@@ -54,13 +54,21 @@ def _write_report(path, pairs):
 
 
 def _read_vocab(dirpath):
+    path = os.path.join(dirpath, "vocab.txt")
     labels = []
-    with open(os.path.join(dirpath, "vocab.txt"), encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if parts:
-                labels.append((int(parts[0]), parts[1]))
-    return data.LabelVocabulary(tuple(labels))
+            if not parts:
+                continue
+            if len(parts) != 2 or not parts[0].isdecimal():
+                raise ValueError("%s line %d: expected '<label id> <name>', "
+                                 "got %r" % (path, lineno, line.strip()))
+            labels.append((int(parts[0]), parts[1]))
+    try:
+        return data.LabelVocabulary(tuple(labels))
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from exc
 
 
 def _features_path(dirpath, part):
@@ -133,6 +141,32 @@ def cmd_gen_synthetic(args):
     return EXIT_OK
 
 
+def _featurize_partition(transform, quantizer, examples):
+    """Whiten, and quantize when a quantizer is given, the concatenated
+    frames of a partition in one pass, then split them back by video.
+    Returns the output examples, the squared round-trip error and the
+    squared norm of the whitened frames."""
+    frames = np.concatenate([ex.features.frames for ex in examples]) \
+        if examples else np.empty((0, transform.dim), dtype=np.float32)
+    z = preprocess.apply_whitening(transform, frames, l2_normalize=False)
+    del frames
+    err2 = norm2 = 0.0
+    if quantizer is not None:
+        z_q = preprocess.dequantize(quantizer, preprocess.quantize(quantizer, z))
+        norm2 = float(np.vdot(z, z))
+        z -= z_q  # the round-trip error, in place: no temporary of z's size
+        err2 = float(np.vdot(z, z))
+        z = z_q
+    offsets = np.cumsum([ex.features.num_frames for ex in examples[:-1]],
+                        dtype=np.intp)
+    out = [data.VideoExample(
+        features=data.FrameFeatureSet(video_id=ex.features.video_id,
+                                      frames=frames),
+        ground_truth=ex.ground_truth)
+        for ex, frames in zip(examples, np.split(z.astype(np.float32), offsets))]
+    return out, err2, norm2
+
+
 def cmd_preprocess(args):
     if args.fit_partition != "train" and not args.allow_fit_partition:
         raise UsageError("fitting on %r leaks evaluation data; pass "
@@ -147,30 +181,21 @@ def cmd_preprocess(args):
 
     quantizer = None
     if args.quantize:
-        whitened = preprocess.apply_whitening(transform, fit_frames,
-                                              l2_normalize=False)
-        quantizer = preprocess.fit_quantizer(whitened)
+        quantizer = preprocess.fit_quantizer(preprocess.apply_whitening(
+            transform, fit_frames, l2_normalize=False))
         preprocess.save_quantizer(quantizer,
                                   os.path.join(args.out, "quantizer.qnt"))
+    del fit_frames
 
     chash = _config_hash(args)
     roundtrip_num = roundtrip_den = 0.0
     for part in PARTITIONS:
-        examples = _load_examples(args.data, part)
-        out_examples = []
-        for ex in examples:
-            z = preprocess.apply_whitening(transform, ex.features.frames,
-                                           l2_normalize=False)
-            if quantizer is not None:
-                z_q = preprocess.dequantize(quantizer,
-                                            preprocess.quantize(quantizer, z))
-                roundtrip_num += float(np.sum((z_q - z) ** 2))
-                roundtrip_den += float(np.sum(z ** 2))
-                z = z_q
-            out_examples.append(data.VideoExample(
-                features=data.FrameFeatureSet(video_id=ex.features.video_id,
-                                              frames=z.astype(np.float32)),
-                ground_truth=ex.ground_truth))
+        examples = fit_examples if part == args.fit_partition \
+            else _load_examples(args.data, part)
+        out_examples, num, den = _featurize_partition(transform, quantizer,
+                                                      examples)
+        roundtrip_num += num
+        roundtrip_den += den
         manifest = data.write_features(out_examples,
                                        _features_path(args.out, part),
                                        partition=part)

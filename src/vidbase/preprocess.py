@@ -1,9 +1,16 @@
 """PCA whitening, L2 normalization, 256-level scalar quantization, and
-reconstruction back to the original activation space."""
+reconstruction back to the original activation space.
+
+Every transform takes a vector or a whole (N, D) frame matrix, so a
+partition is whitened, quantized and dequantized in one call on its
+concatenated frames. A transform's pseudo-inverse is computed once, on the
+first reconstruction.
+"""
 
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +51,11 @@ class WhiteningTransform:
     @property
     def dim_out(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def pinv(self):
+        """Pseudo-inverse of `matrix`, (D, d_out), computed on first use."""
+        return np.linalg.pinv(self.matrix)
 
 
 @dataclass
@@ -98,10 +110,11 @@ def apply_whitening(transform, x, l2_normalize=True):
     """z = A(x - mu), optionally L2-normalized. Accepts a vector or a
     (N, D) matrix. A zero projection with l2_normalize set stays zero
     (with a warning)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     single = x.ndim == 1
     batch = np.atleast_2d(x)
-    z = (batch - transform.mean) @ transform.matrix.T
+    # centering casts to float64 on the fly: no float64 copy of x
+    z = np.subtract(batch, transform.mean, dtype=np.float64) @ transform.matrix.T
     if l2_normalize:
         norms = np.linalg.norm(z, axis=1)
         zero = norms == 0.0
@@ -114,18 +127,25 @@ def apply_whitening(transform, x, l2_normalize=True):
 
 def _strictly_increasing(b):
     """Nudge duplicated cut points up; duplicated bins become empty."""
+    if np.all(b[1:] > b[:-1]):
+        return b
     for i in range(1, len(b)):
         if b[i] <= b[i - 1]:
             b[i] = np.nextafter(b[i - 1], np.inf)
     return b
 
 
-def _bin_representatives(column, boundaries):
-    """Per-bin sample means; empty bins fall back to the bin midpoint,
-    always clipped into the bin's interval."""
-    codes = np.searchsorted(boundaries, column, side="right")
-    sums = np.bincount(codes, weights=column, minlength=N_CODES)
-    counts = np.bincount(codes, minlength=N_CODES)
+def _bin_representatives(padded, boundaries):
+    """Per-bin sample means of a sorted column followed by one 0.0
+    sentinel; empty bins fall back to the bin midpoint, always clipped into
+    the bin's interval. Bin i holds the values in [b[i-1], b[i])."""
+    n = len(padded) - 1
+    starts = np.concatenate(
+        ([0], np.searchsorted(padded[:n], boundaries, side="left")))
+    counts = np.diff(starts, append=n)
+    # a start of n (an empty trailing bin) indexes the sentinel, so every
+    # non-empty bin sums exactly its own values
+    sums = np.add.reduceat(padded, starts)
     lo = np.concatenate(([-np.inf], boundaries))
     hi = np.concatenate((boundaries, [np.inf]))
     mid = 0.5 * (lo + hi)
@@ -136,27 +156,31 @@ def _bin_representatives(column, boundaries):
 
 
 def fit_quantizer(values, refine_iterations=10):
-    """Per-dimension 256-level quantizer: boundaries start at the j/256
-    quantiles with reconstruction value = in-bin sample mean, then a few
-    Lloyd iterations (boundary = midpoint of adjacent representatives)
+    """Per-dimension 256-level Lloyd-Max quantizer: boundaries start at the
+    j/256 quantiles with reconstruction value = in-bin sample mean, then a
+    few Lloyd iterations (boundary = midpoint of adjacent representatives)
     sharpen the bins toward the distortion-optimal ones. On uniform data
     the quantile boundaries are already the fixed point. Degenerate
-    dimensions collapse to one effective bin."""
+    dimensions collapse to one effective bin.
+
+    Each column is sorted once; a Lloyd iteration then finds the bins with
+    255 binary searches and sums them with one `np.add.reduceat`, instead
+    of binning every sample again."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1:
         raise ValueError("values must be a non-empty (N, D) sample")
     dim = values.shape[1]
 
     probs = np.arange(1, N_CODES) / N_CODES
-    boundaries = np.quantile(values, probs, axis=0).T  # (D, 255)
-
+    boundaries = np.empty((dim, N_CODES - 1), dtype=np.float64)
     reconstruction = np.empty((dim, N_CODES), dtype=np.float64)
     for j in range(dim):
-        b = _strictly_increasing(boundaries[j])
-        rec = _bin_representatives(values[:, j], b)
+        padded = np.append(np.sort(values[:, j]), 0.0)
+        b = _strictly_increasing(np.quantile(padded[:-1], probs))
+        rec = _bin_representatives(padded, b)
         for _ in range(refine_iterations):
             b = _strictly_increasing(0.5 * (rec[:-1] + rec[1:]))
-            rec = _bin_representatives(values[:, j], b)
+            rec = _bin_representatives(padded, b)
         boundaries[j] = b
         reconstruction[j] = rec
 
@@ -194,8 +218,7 @@ def invert_whitening(transform, z):
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     batch = np.atleast_2d(z)
-    pinv = np.linalg.pinv(transform.matrix)
-    x = batch @ pinv.T + transform.mean
+    x = batch @ transform.pinv.T + transform.mean
     return x[0] if single else x
 
 

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from vidbase import aggregate, cli, data
+from vidbase import aggregate, cli, data, preprocess
 
 
 def run(*argv):
@@ -70,6 +70,83 @@ def test_preprocess_outputs(preprocessed):
     assert float(report["quantization_relative_rmse"]) < 0.05
     examples = data.read_features(os.path.join(preprocessed, "train.features"))
     assert examples[0].features.dim == 8
+
+
+@pytest.mark.parametrize("quantize", [True, False])
+def test_preprocess_matches_per_video_reference(tmp_path, quantize):
+    # single-frame videos included: whitening and quantizing a partition's
+    # concatenated frames must give each video the bytes it gets alone
+    src = tmp_path / "corpus"
+    assert run("gen-synthetic", "--out", str(src), "--seed", "3",
+               "--labels", "3", "--videos", "60", "--dim", "6",
+               "--frames-min", "1", "--frames-max", "9") == cli.EXIT_OK
+    out = tmp_path / "prep"
+    argv = ["preprocess", "--data", str(src), "--out", str(out)]
+    assert run(*(argv + ([] if quantize else ["--no-quantize"]))) == cli.EXIT_OK
+
+    train = data.read_features(str(src / "train.features"))
+    fit_frames = np.concatenate([ex.features.frames for ex in train])
+    t = preprocess.fit_whitening(fit_frames, fit_frames.shape[1])
+    q = preprocess.fit_quantizer(preprocess.apply_whitening(
+        t, fit_frames, l2_normalize=False)) if quantize else None
+    err2 = norm2 = 0.0
+    for part in cli.PARTITIONS:
+        got = data.read_features(str(out / ("%s.features" % part)))
+        want = data.read_features(str(src / ("%s.features" % part)))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            z = preprocess.apply_whitening(t, w.features.frames,
+                                           l2_normalize=False)
+            if q is not None:
+                z_q = preprocess.dequantize(q, preprocess.quantize(q, z))
+                err2 += float(np.sum((z_q - z) ** 2))
+                norm2 += float(np.sum(z ** 2))
+                z = z_q
+            assert g.features.video_id == w.features.video_id
+            assert g.ground_truth == w.ground_truth
+            assert g.features.frames.tobytes() == z.astype(np.float32).tobytes()
+    report = dict(line.split("=", 1)
+                  for line in (out / "report.txt").read_text().splitlines())
+    if quantize:
+        assert abs(float(report["quantization_relative_rmse"])
+                   - np.sqrt(err2 / norm2)) <= 1e-9
+    else:
+        assert "quantization_relative_rmse" not in report
+
+
+def test_preprocess_empty_partition(tmp_path):
+    src = tmp_path / "corpus"
+    assert run("gen-synthetic", "--out", str(src), "--seed", "1",
+               "--labels", "2", "--videos", "5", "--dim", "4") == cli.EXIT_OK
+    assert data.read_features(str(src / "test.features")) == []
+    out = tmp_path / "prep"
+    assert run("preprocess", "--data", str(src), "--out", str(out)) \
+        == cli.EXIT_OK
+    assert data.read_features(str(out / "test.features")) == []
+    assert "example_count=0" in (out / "test.manifest").read_text()
+
+
+def test_encode_stats_matches_fresh_pinv_per_video(preprocessed, tmp_path,
+                                                   monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda a: calls.append(1) or pinv(a))
+    cached = tmp_path / "cached"
+    assert run("encode", "--data", str(preprocessed), "--out", str(cached),
+               "--method", "stats") == cli.EXIT_OK
+    # one whitening transform is inverted, once per process
+    assert len(calls) == 1
+
+    def invert_fresh(transform, z):
+        return np.atleast_2d(z) @ pinv(transform.matrix).T + transform.mean
+
+    monkeypatch.setattr(preprocess, "invert_whitening", invert_fresh)
+    fresh = tmp_path / "fresh"
+    assert run("encode", "--data", str(preprocessed), "--out", str(fresh),
+               "--method", "stats") == cli.EXIT_OK
+    for name in sorted(os.listdir(fresh)):
+        assert (cached / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_encode_stats_dimension(corpus, tmp_path):
@@ -264,3 +341,21 @@ def test_train_rejects_label_outside_vocabulary(corpus, encoded, tmp_path):
                "--out", str(tmp_path / "bank"), "--model", "logistic",
                "--iterations", "1")
     assert code == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("line", ["1", "x label_0001"],
+                         ids=["one-field", "non-integer-id"])
+def test_train_rejects_malformed_vocabulary(corpus, encoded, tmp_path, capsys,
+                                            line):
+    vocab_dir = tmp_path / "vocab"
+    vocab_dir.mkdir()
+    lines = (corpus / "vocab.txt").read_text().splitlines()
+    lines[1] = line
+    (vocab_dir / "vocab.txt").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run("train", "--descriptors", str(encoded), "--vocab-dir",
+               str(vocab_dir), "--out", str(tmp_path / "bank"),
+               "--model", "logistic", "--iterations", "1")
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(vocab_dir / "vocab.txt") in err and "line 2" in err

@@ -177,3 +177,99 @@ def test_quantizer_file_roundtrip(tmp_path):
     x = rng.standard_normal((100, 2))
     assert np.array_equal(pp.quantize(back, x.astype(np.float32)),
                           pp.quantize(q, x.astype(np.float32)))
+
+
+# Test-only reference: the per-pass Lloyd-Max fit, which bins every sample
+# again on each iteration. The shipped fit sorts each column once.
+
+def _ref_strictly_increasing(b):
+    for i in range(1, len(b)):
+        if b[i] <= b[i - 1]:
+            b[i] = np.nextafter(b[i - 1], np.inf)
+    return b
+
+
+def _ref_bin_representatives(column, boundaries):
+    codes = np.searchsorted(boundaries, column, side="right")
+    sums = np.bincount(codes, weights=column, minlength=pp.N_CODES)
+    counts = np.bincount(codes, minlength=pp.N_CODES)
+    lo = np.concatenate(([-np.inf], boundaries))
+    hi = np.concatenate((boundaries, [np.inf]))
+    mid = 0.5 * (lo + hi)
+    mid[0] = boundaries[0]
+    mid[-1] = boundaries[-1]
+    rec = np.where(counts > 0, sums / np.maximum(counts, 1), mid)
+    return np.clip(rec, lo, hi)
+
+
+def _ref_fit_quantizer(values, refine_iterations=10):
+    values = np.asarray(values, dtype=np.float64)
+    probs = np.arange(1, pp.N_CODES) / pp.N_CODES
+    boundaries = np.quantile(values, probs, axis=0).T
+    reconstruction = np.empty((values.shape[1], pp.N_CODES))
+    for j in range(values.shape[1]):
+        b = _ref_strictly_increasing(boundaries[j])
+        rec = _ref_bin_representatives(values[:, j], b)
+        for _ in range(refine_iterations):
+            b = _ref_strictly_increasing(0.5 * (rec[:-1] + rec[1:]))
+            rec = _ref_bin_representatives(values[:, j], b)
+        boundaries[j] = b
+        reconstruction[j] = rec
+    return pp.Quantizer(boundaries=boundaries, reconstruction=reconstruction)
+
+
+def _ties_sample(rng):
+    # five integer levels, half the sample at the largest: most quantiles
+    # tie, and the bins nudged above the largest value stay empty on every
+    # Lloyd pass (trailing empty bins)
+    return rng.choice([0.0, 1.0, 2.0, 3.0, 7.0], p=[0.2, 0.15, 0.1, 0.05, 0.5],
+                      size=(20_000, 2))
+
+
+QUANTIZER_SAMPLES = {
+    "ties-trailing-empty": _ties_sample,
+    "constant": lambda rng: np.full((300, 2), -1.5),
+    "n1": lambda rng: rng.standard_normal((1, 3)),
+    "n-below-256": lambda rng: rng.standard_normal((100, 3)),
+    "cauchy": lambda rng: rng.standard_cauchy((20_000, 2)),
+    "f4-rounded": lambda rng: rng.standard_normal((20_000, 2))
+    .astype(np.float32).astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUANTIZER_SAMPLES))
+def test_fit_quantizer_matches_per_pass_reference(case):
+    rng = np.random.default_rng(21)
+    sample = QUANTIZER_SAMPLES[case](rng)
+    ref = _ref_fit_quantizer(sample)
+    q = pp.fit_quantizer(sample)
+    for got, want in ((q.boundaries, ref.boundaries),
+                      (q.reconstruction, ref.reconstruction)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    probe = np.concatenate((sample, rng.standard_normal(sample.shape) * 3.0))
+    assert np.array_equal(pp.quantize(q, probe), pp.quantize(ref, probe))
+
+
+def test_ties_sample_has_trailing_empty_bins():
+    # the case the sentinel in fit_quantizer guards: at the initial
+    # quantile boundaries the last non-empty bin is followed by empty ones
+    column = _ties_sample(np.random.default_rng(21))[:, 0]
+    b = _ref_strictly_increasing(
+        np.quantile(column, np.arange(1, pp.N_CODES) / pp.N_CODES))
+    codes = np.searchsorted(b, column, side="right")
+    assert codes.max() < pp.N_CODES - 1
+
+
+def test_invert_whitening_computes_pinv_once(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda a: calls.append(1) or pinv(a))
+    rng = np.random.default_rng(22)
+    t = pp.fit_whitening(rng.standard_normal((200, 4)), d_out=3)
+    z = rng.standard_normal((5, 3))
+    first = pp.invert_whitening(t, z)
+    for _ in range(3):
+        assert np.array_equal(pp.invert_whitening(t, z), first)
+    assert len(calls) == 1
+    assert np.array_equal(first, z @ pinv(t.matrix).T + t.mean)
