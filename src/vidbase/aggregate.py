@@ -2,7 +2,6 @@
 deviation, and per-dimension Top-K ordinal statistics."""
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,20 +9,7 @@ from .preprocess import fit_whitening
 
 AGG_MAGIC = b"YT8MAGG0"
 
-COMPONENT_ORDER = ("mean", "std", "topk")
 DEFAULT_TOP_K = 5
-
-
-@dataclass
-class VideoDescriptor:
-    values: np.ndarray
-    layout: tuple  # ((name, offset, length), ...)
-
-    def component(self, name):
-        for comp, off, length in self.layout:
-            if comp == name:
-                return self.values[off:off + length]
-        raise KeyError(name)
 
 
 def aggregate_mean_std(frames):
@@ -50,39 +36,23 @@ def aggregate_topk(frames, k):
     return top.T.reshape(k * dim)  # dim-major: K values per dimension
 
 
-def build_descriptor(frames, k=DEFAULT_TOP_K, components=COMPONENT_ORDER):
-    """Concatenate the enabled components in fixed [mean; std; topk] order."""
-    components = tuple(components)
-    if not components:
-        raise ValueError("at least one component required")
-    unknown = set(components) - set(COMPONENT_ORDER)
-    if unknown:
-        raise ValueError("unknown components: %s" % sorted(unknown))
+def descriptor_layout(dim, k):
+    """((name, offset, length), ...) of the [mean; std; topk] descriptor of
+    `dim`-dimensional frames."""
+    return (("mean", 0, dim), ("std", dim, dim), ("topk", 2 * dim, k * dim))
 
+
+def build_descriptor(frames, k=DEFAULT_TOP_K):
+    """One video's descriptor values, in descriptor_layout order."""
     mean, std = aggregate_mean_std(frames)
-    parts, layout, offset = [], [], 0
-    for name in COMPONENT_ORDER:
-        if name not in components:
-            continue
-        if name == "mean":
-            block = mean
-        elif name == "std":
-            block = std
-        else:
-            block = aggregate_topk(frames, k)
-        parts.append(block)
-        layout.append((name, offset, len(block)))
-        offset += len(block)
-    return VideoDescriptor(values=np.concatenate(parts), layout=tuple(layout))
+    return np.concatenate([mean, std, aggregate_topk(frames, k)])
 
 
-def fit_global_normalizer(descriptors, d_out=None):
-    """Whitening transform over descriptor space (center -> whiten; apply
-    with apply_whitening(..., l2_normalize=True))."""
-    sample = np.asarray([d.values for d in descriptors], dtype=np.float64)
-    if d_out is None:
-        d_out = sample.shape[1]
-    return fit_whitening(sample, d_out)
+def fit_global_normalizer(descriptors):
+    """Whitening transform over descriptor space, fit on a (V, d) matrix
+    (center -> whiten; apply with apply_whitening(..., l2_normalize=True))."""
+    sample = np.asarray(descriptors, dtype=np.float64)
+    return fit_whitening(sample, sample.shape[1])
 
 
 def write_descriptors(path, video_ids, matrix, layout):
@@ -104,28 +74,42 @@ def write_descriptors(path, video_ids, matrix, layout):
 
 
 def read_descriptors(path):
+    """Read a descriptor file back as (video ids, (V, d) float64 matrix,
+    layout). A file that is cut short or longer than its header says is a
+    ValueError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != AGG_MAGIC:
         raise ValueError("bad magic in %s" % path)
-    dim, count, n_layout = struct.unpack_from("<IQH", data, 8)
-    off = 8 + 14
-    layout = []
-    for _ in range(n_layout):
-        (tag_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off:off + tag_len].decode("utf-8")
-        off += tag_len
-        comp_off, comp_len = struct.unpack_from("<II", data, off)
-        off += 8
-        layout.append((name, comp_off, comp_len))
-    video_ids = []
-    rows = np.empty((count, dim), dtype=np.float64)
-    for i in range(count):
-        (vid_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        video_ids.append(data[off:off + vid_len].decode("utf-8"))
-        off += vid_len
-        rows[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
-        off += 4 * dim
+    truncated = "truncated descriptor file %s" % path
+    try:
+        dim, count, n_layout = struct.unpack_from("<IQH", data, 8)
+        off = 8 + 14
+        layout = []
+        for _ in range(n_layout):
+            (tag_len,) = struct.unpack_from("<H", data, off)
+            off += 2
+            name = data[off:off + tag_len].decode("utf-8")
+            off += tag_len
+            comp_off, comp_len = struct.unpack_from("<II", data, off)
+            off += 8
+            layout.append((name, comp_off, comp_len))
+        # every row holds at least its id length and its values
+        if count * (2 + 4 * dim) > len(data) - off:
+            raise ValueError(truncated)
+        video_ids = []
+        rows = np.empty((count, dim), dtype=np.float64)
+        for i in range(count):
+            (vid_len,) = struct.unpack_from("<H", data, off)
+            off += 2
+            video_ids.append(data[off:off + vid_len].decode("utf-8"))
+            off += vid_len
+            if off + 4 * dim > len(data):
+                raise ValueError(truncated)
+            rows[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
+            off += 4 * dim
+    except struct.error as exc:
+        raise ValueError(truncated) from exc
+    if off != len(data):
+        raise ValueError("%d trailing bytes in %s" % (len(data) - off, path))
     return video_ids, rows, tuple(layout)

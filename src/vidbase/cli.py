@@ -75,18 +75,17 @@ def _features_path(dirpath, part):
     return os.path.join(dirpath, "%s.features" % part)
 
 
-def _load_examples(dirpath, part):
+def _load_partition(dirpath, part):
     path = _features_path(dirpath, part)
     if not os.path.exists(path):
         raise FileNotFoundError("missing feature file %s" % path)
     return data.read_features(path)
 
 
-def _write_labels(path, examples):
+def _write_labels(path, partition):
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write("%s %s\n" % (ex.features.video_id,
-                                  ",".join(str(l) for l in sorted(ex.ground_truth))))
+        for vid, labs in zip(partition.video_ids, partition.labels):
+            fh.write("%s %s\n" % (vid, ",".join(str(l) for l in sorted(labs))))
 
 
 def _read_labels(path):
@@ -112,59 +111,33 @@ def cmd_gen_synthetic(args):
     spec = data.ClusterSpec.separated(args.seed, args.labels, args.dim,
                                       separation=args.separation,
                                       scale=args.scale)
-    examples = data.generate_synthetic(args.seed, args.labels, args.videos,
-                                       args.dim, spec,
-                                       frames_min=args.frames_min,
-                                       frames_max=args.frames_max)
+    corpus = data.generate_synthetic(args.seed, args.labels, args.videos,
+                                     args.dim, spec,
+                                     frames_min=args.frames_min,
+                                     frames_max=args.frames_max)
     vocab = data.LabelVocabulary.trivial(args.labels)
     with open(os.path.join(args.out, "vocab.txt"), "w", encoding="utf-8") as fh:
         for lid, name in vocab.labels:
             fh.write("%d %s\n" % (lid, name))
 
     # 70 : 20 : 10 split by count, assigned round-robin-free by position
-    n = len(examples)
+    n = len(corpus)
     n_train = int(round(n * 0.7))
     n_val = int(round(n * 0.2))
     splits = {
-        "train": examples[:n_train],
-        "validate": examples[n_train:n_train + n_val],
-        "test": examples[n_train + n_val:],
+        "train": corpus.slice(0, n_train),
+        "validate": corpus.slice(n_train, n_train + n_val),
+        "test": corpus.slice(n_train + n_val, n),
     }
     chash = _config_hash(args)
     for part in PARTITIONS:
         manifest = data.write_features(splits[part],
                                        _features_path(args.out, part),
-                                       partition=part)
+                                       name=part)
         manifest.extra = {"seed": str(args.seed), "config_hash": chash,
                           "labels": str(args.labels)}
         manifest.write(os.path.join(args.out, "%s.manifest" % part))
     return EXIT_OK
-
-
-def _featurize_partition(transform, quantizer, examples):
-    """Whiten, and quantize when a quantizer is given, the concatenated
-    frames of a partition in one pass, then split them back by video.
-    Returns the output examples, the squared round-trip error and the
-    squared norm of the whitened frames."""
-    frames = np.concatenate([ex.features.frames for ex in examples]) \
-        if examples else np.empty((0, transform.dim), dtype=np.float32)
-    z = preprocess.apply_whitening(transform, frames, l2_normalize=False)
-    del frames
-    err2 = norm2 = 0.0
-    if quantizer is not None:
-        z_q = preprocess.dequantize(quantizer, preprocess.quantize(quantizer, z))
-        norm2 = float(np.vdot(z, z))
-        z -= z_q  # the round-trip error, in place: no temporary of z's size
-        err2 = float(np.vdot(z, z))
-        z = z_q
-    offsets = np.cumsum([ex.features.num_frames for ex in examples[:-1]],
-                        dtype=np.intp)
-    out = [data.VideoExample(
-        features=data.FrameFeatureSet(video_id=ex.features.video_id,
-                                      frames=frames),
-        ground_truth=ex.ground_truth)
-        for ex, frames in zip(examples, np.split(z.astype(np.float32), offsets))]
-    return out, err2, norm2
 
 
 def cmd_preprocess(args):
@@ -172,33 +145,42 @@ def cmd_preprocess(args):
         raise UsageError("fitting on %r leaks evaluation data; pass "
                          "--allow-fit-partition to override" % args.fit_partition)
     os.makedirs(args.out, exist_ok=True)
-    fit_examples = _load_examples(args.data, args.fit_partition)
-    fit_frames = np.concatenate([ex.features.frames for ex in fit_examples])
-    d_out = args.dim_out or fit_frames.shape[1]
+    fit = _load_partition(args.data, args.fit_partition)
+    d_out = args.dim_out or fit.dim
 
-    transform = preprocess.fit_whitening(fit_frames, d_out)
+    transform = preprocess.fit_whitening(fit.frames, d_out)
     preprocess.save_transform(transform, os.path.join(args.out, "transform.pca"))
 
     quantizer = None
     if args.quantize:
         quantizer = preprocess.fit_quantizer(preprocess.apply_whitening(
-            transform, fit_frames, l2_normalize=False))
+            transform, fit.frames, l2_normalize=False))
         preprocess.save_quantizer(quantizer,
                                   os.path.join(args.out, "quantizer.qnt"))
-    del fit_frames
 
     chash = _config_hash(args)
     roundtrip_num = roundtrip_den = 0.0
     for part in PARTITIONS:
-        examples = fit_examples if part == args.fit_partition \
-            else _load_examples(args.data, part)
-        out_examples, num, den = _featurize_partition(transform, quantizer,
-                                                      examples)
-        roundtrip_num += num
-        roundtrip_den += den
-        manifest = data.write_features(out_examples,
-                                       _features_path(args.out, part),
-                                       partition=part)
+        if part == args.fit_partition:
+            partition, fit = fit, None
+        else:
+            partition = _load_partition(args.data, part)
+        # whiten, and quantize when asked, the partition's frames in one pass
+        z = preprocess.apply_whitening(transform, partition.frames,
+                                       l2_normalize=False)
+        video_ids, offsets = partition.video_ids, partition.offsets
+        labels = partition.labels
+        del partition  # the input frames are not needed past whitening
+        if quantizer is not None:
+            z_q = preprocess.dequantize(quantizer,
+                                        preprocess.quantize(quantizer, z))
+            roundtrip_den += float(np.vdot(z, z))
+            z -= z_q  # the round-trip error, in place: no temporary of z's size
+            roundtrip_num += float(np.vdot(z, z))
+            z = z_q
+        manifest = data.write_features(
+            data.Partition(video_ids, z.astype(np.float32), offsets, labels),
+            _features_path(args.out, part), name=part)
         manifest.extra = {"seed": str(args.seed), "config_hash": chash,
                           "whitened": "1",
                           "quantized": "1" if quantizer is not None else "0"}
@@ -213,40 +195,45 @@ def cmd_preprocess(args):
     return EXIT_OK
 
 
-def _encode_stats(args, parts_examples):
+def _describe(partition, describe, width):
+    """(V, width) matrix of describe(frames) over the partition's videos."""
+    out = np.empty((len(partition), width))
+    for i, frames in enumerate(partition.videos()):
+        out[i] = describe(frames)
+    return out
+
+
+def _encode_stats(args, partitions):
     transform_path = os.path.join(args.data, "transform.pca")
     quantizer_path = os.path.join(args.data, "quantizer.qnt")
     reconstructing = os.path.exists(transform_path)
     transform = preprocess.load_transform(transform_path) if reconstructing else None
 
-    def frames_for(ex):
+    def describe(frames):
         # std and Top_K are more meaningful in the original activation
         # space, so whitened inputs are mapped back before aggregation
         if reconstructing:
-            return preprocess.invert_whitening(transform, ex.features.frames)
-        return ex.features.frames
+            frames = preprocess.invert_whitening(transform, frames)
+        return aggregate.build_descriptor(frames, k=args.topk)
 
-    descriptors = {part: [aggregate.build_descriptor(frames_for(ex), k=args.topk)
-                          for ex in examples]
-                   for part, examples in parts_examples.items()}
+    dim = transform.dim if reconstructing else partitions["train"].dim
+    layout = aggregate.descriptor_layout(dim, args.topk)
+    width = (2 + args.topk) * dim
+    descriptors = {part: _describe(partition, describe, width)
+                   for part, partition in partitions.items()}
     normalizer = aggregate.fit_global_normalizer(descriptors["train"])
     preprocess.save_transform(normalizer,
                               os.path.join(args.out, "normalizer.pca"))
-    layout = descriptors["train"][0].layout
-    out = {}
-    for part, descs in descriptors.items():
-        mat = preprocess.apply_whitening(
-            normalizer, np.asarray([d.values for d in descs]),
-            l2_normalize=True)
-        out[part] = (mat, layout)
+    out = {part: (preprocess.apply_whitening(normalizer, descs,
+                                             l2_normalize=True), layout)
+           for part, descs in descriptors.items()}
     extras = {"reconstructed": "1" if reconstructing else "0",
               "quantized_input": "1" if os.path.exists(quantizer_path) else "0"}
     return out, extras
 
 
-def _encode_codebook(args, parts_examples):
-    train_frames = np.concatenate(
-        [ex.features.frames for ex in parts_examples["train"]])
+def _encode_codebook(args, partitions):
+    train_frames = partitions["train"].frames
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xE4C]))
     if len(train_frames) > args.codebook_sample:
         pick = np.sort(rng.choice(len(train_frames), args.codebook_sample,
@@ -267,29 +254,26 @@ def _encode_codebook(args, parts_examples):
         extras = {"clusters": str(args.clusters)}
 
     layout = ((args.method, 0, dim),)
-    out = {}
-    for part, examples in parts_examples.items():
-        mat = np.asarray([encode(ex.features.frames) for ex in examples])
-        out[part] = (mat, layout)
+    out = {part: (_describe(partition, encode, dim), layout)
+           for part, partition in partitions.items()}
     return out, extras
 
 
 def cmd_encode(args):
     os.makedirs(args.out, exist_ok=True)
-    parts_examples = {part: _load_examples(args.data, part)
-                      for part in PARTITIONS}
+    partitions = {part: _load_partition(args.data, part)
+                  for part in PARTITIONS}
     if args.method == "stats":
-        encoded, extras = _encode_stats(args, parts_examples)
+        encoded, extras = _encode_stats(args, partitions)
     else:
-        encoded, extras = _encode_codebook(args, parts_examples)
+        encoded, extras = _encode_codebook(args, partitions)
 
     chash = _config_hash(args)
     for part, (mat, layout) in encoded.items():
-        video_ids = [ex.features.video_id for ex in parts_examples[part]]
         aggregate.write_descriptors(os.path.join(args.out, "%s.desc" % part),
-                                    video_ids, mat, layout)
+                                    partitions[part].video_ids, mat, layout)
         _write_labels(os.path.join(args.out, "%s.labels" % part),
-                      parts_examples[part])
+                      partitions[part])
     pairs = [("config_hash", chash), ("seed", args.seed),
              ("method", args.method),
              ("descriptor_dim", encoded["train"][0].shape[1])]
@@ -305,12 +289,13 @@ def _l2_normalize_rows(x):
 
 
 def _frame_training_data(args, vocab):
-    examples = _load_examples(args.data, "train")
-    frames, label_sets, _ = trainer.expand_frame_examples(
-        examples, args.frames_per_video, seed=args.seed)
+    partition = _load_partition(args.data, "train")
+    frames, video_index = trainer.expand_frame_examples(
+        partition, args.frames_per_video, seed=args.seed)
     if args.l2_normalize:
         frames = _l2_normalize_rows(frames)
-    return models.add_bias(frames), data.label_matrix(label_sets, vocab.size)
+    return (models.add_bias(frames),
+            data.label_matrix(partition.labels, vocab.size)[video_index])
 
 
 def _video_training_data(args, vocab):
@@ -373,40 +358,50 @@ def cmd_train(args):
 
 
 def _load_bank(bank_dir):
-    bank = {}
-    meta = {}
+    """The bank's models by label id, its label count (every label of
+    index.txt, trained or skipped) and the key=value lines of index.txt."""
+    bank, meta, n_labels = {}, {}, 0
     with open(os.path.join(bank_dir, "index.txt"), encoding="utf-8") as fh:
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
+            if parts[0] in ("model", "skip"):
+                label_id = int(parts[1])
+                n_labels = max(n_labels, label_id + 1)
             if parts[0] == "model":
-                label_id, fname = int(parts[1]), parts[2]
-                with open(os.path.join(bank_dir, fname), "rb") as mf:
-                    bank[label_id] = models.deserialize_model(mf.read())
+                path = os.path.join(bank_dir, parts[2])
+                with open(path, "rb") as mf:
+                    blob = mf.read()
+                try:
+                    bank[label_id] = models.deserialize_model(blob)
+                except models.ModelFormatError as exc:
+                    raise models.ModelFormatError("%s: %s" % (path, exc)) \
+                        from exc
             elif "=" in parts[0]:
                 key, _, value = parts[0].partition("=")
                 meta[key] = value
-    return bank, meta
+    return bank, n_labels, meta
 
 
 def cmd_predict(args):
-    bank, meta = _load_bank(args.bank)
+    bank, n_labels, meta = _load_bank(args.bank)
     if not bank:
         raise UsageError("model bank %s is empty" % args.bank)
     level = meta.get("level", "video")
     lines_vids, scores = [], []
     if level == "frame":
-        examples = _load_examples(args.data, args.partition)
+        partition = _load_partition(args.data, args.partition)
         l2norm = meta.get("l2_normalize", "1") == "1"
-        if int(meta["feature_dim"]) != examples[0].features.dim:
+        if int(meta["feature_dim"]) != partition.dim:
             raise UsageError("bank feature_dim does not match data")
-        for ex in examples:
-            frames = np.asarray(ex.features.frames, dtype=np.float64)
+        for vid, frames in zip(partition.video_ids, partition.videos()):
+            frames = np.asarray(frames, dtype=np.float64)
             if l2norm:
                 frames = _l2_normalize_rows(frames)
-            lines_vids.append(ex.features.video_id)
-            scores.append(trainer.predict_video_frame_level(bank, frames))
+            lines_vids.append(vid)
+            scores.append(trainer.predict_video_frame_level(bank, frames,
+                                                            n_labels))
     else:
         vids, mat, _ = aggregate.read_descriptors(
             os.path.join(args.descriptors, "%s.desc" % args.partition))
@@ -414,11 +409,12 @@ def cmd_predict(args):
             raise UsageError("bank feature_dim does not match descriptors")
         for vid, row in zip(vids, mat):
             lines_vids.append(vid)
-            scores.append(trainer.predict_video_level(bank, row))
+            scores.append(trainer.predict_video_level(bank, row, n_labels))
 
-    pset = metrics.PredictionSet(video_ids=lines_vids,
-                                 scores=np.asarray(scores),
-                                 truths=[frozenset()] * len(lines_vids))
+    pset = metrics.PredictionSet(
+        video_ids=lines_vids,
+        scores=np.reshape(scores, (len(lines_vids), n_labels)),
+        truths=[frozenset()] * len(lines_vids))
     metrics.write_predictions(pset, args.out)
     return EXIT_OK
 
@@ -427,8 +423,8 @@ def _truths_for_partition(args):
     if args.descriptors:
         return _read_labels(os.path.join(args.descriptors,
                                          "%s.labels" % args.partition))
-    examples = _load_examples(args.data, args.partition)
-    return {ex.features.video_id: ex.ground_truth for ex in examples}
+    partition = _load_partition(args.data, args.partition)
+    return dict(zip(partition.video_ids, partition.labels))
 
 
 def cmd_evaluate(args):

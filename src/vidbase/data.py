@@ -38,51 +38,56 @@ class LabelVocabulary:
         return cls(tuple((i, "label_%04d" % i) for i in range(n_labels)))
 
 
-@dataclass
-class FrameFeatureSet:
-    """Per-video sequence of D-dimensional frame vectors."""
+@dataclass(eq=False)
+class Partition:
+    """The videos of one partition: all their frames in one (ΣF, D) float32
+    matrix, video i's frames at rows offsets[i]:offsets[i + 1]."""
 
-    video_id: str
-    frames: np.ndarray  # (F, D) float32
+    video_ids: tuple
+    frames: np.ndarray   # (ΣF, D) float32
+    offsets: np.ndarray  # (V + 1,) int64, from 0 to ΣF
+    labels: tuple        # per-video frozenset of label ids
 
     def __post_init__(self):
+        self.video_ids = tuple(self.video_ids)
         self.frames = np.asarray(self.frames, dtype=np.float32)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise ValueError("frames must be a non-empty (F, D) array")
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.labels = tuple(frozenset(int(l) for l in labs)
+                            for labs in self.labels)
+        if self.frames.ndim != 2:
+            raise ValueError("frames must be a (frames, dim) array")
+        if (self.offsets.shape != (len(self.video_ids) + 1,)
+                or self.offsets[0] != 0
+                or self.offsets[-1] != self.frames.shape[0]):
+            raise ValueError("offsets must run from 0 to the frame count, "
+                             "one per video plus one")
+        if len(self.labels) != len(self.video_ids):
+            raise ValueError("one label set per video required")
+        if np.any(np.diff(self.offsets) < 1):
+            raise ValueError("every video needs at least one frame")
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("frame features must be finite")
+        if any(l < 0 for labs in self.labels for l in labs):
+            raise ValueError("label ids must be non-negative")
 
-    @property
-    def num_frames(self):
-        return self.frames.shape[0]
+    def __len__(self):
+        return len(self.video_ids)
 
     @property
     def dim(self):
         return self.frames.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, FrameFeatureSet):
-            return NotImplemented
-        return (self.video_id == other.video_id
-                and self.frames.shape == other.frames.shape
-                and np.array_equal(self.frames, other.frames))
+    def videos(self):
+        """Each video's frames, in order, as views of `frames`."""
+        bounds = self.offsets.tolist()
+        return (self.frames[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
-
-@dataclass
-class VideoExample:
-    features: FrameFeatureSet
-    ground_truth: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        self.ground_truth = frozenset(int(l) for l in self.ground_truth)
-        if any(l < 0 for l in self.ground_truth):
-            raise ValueError("label ids must be non-negative")
-
-    def __eq__(self, other):
-        if not isinstance(other, VideoExample):
-            return NotImplemented
-        return (self.features == other.features
-                and self.ground_truth == other.ground_truth)
+    def slice(self, start, stop):
+        """The partition of videos start..stop-1."""
+        first, last = self.offsets[start], self.offsets[stop]
+        return Partition(self.video_ids[start:stop], self.frames[first:last],
+                         self.offsets[start:stop + 1] - first,
+                         self.labels[start:stop])
 
 
 @dataclass
@@ -129,37 +134,32 @@ class DatasetManifest:
         )
 
 
-def write_features(examples, path, partition="train"):
-    """Serialize examples to the binary feature format; returns a manifest.
-
-    All examples must share the same feature dimension.
-    """
-    examples = list(examples)
-    dims = {ex.features.dim for ex in examples}
-    if len(dims) > 1:
-        raise DataFormatError("mixed feature dimensions: %s" % sorted(dims))
-    dim = dims.pop() if dims else 0
-
+def write_features(partition, path, name="train"):
+    """Serialize a partition to the binary feature format; returns a
+    manifest. Each video is a header (id, frame count, labels) followed by
+    its frames."""
+    frames = np.ascontiguousarray(partition.frames, dtype="<f4")
+    bounds = partition.offsets.tolist()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IIQ", FORMAT_VERSION, dim, len(examples)))
-        for ex in examples:
-            vid = ex.features.video_id.encode("utf-8")
-            labels = sorted(ex.ground_truth)
-            fh.write(struct.pack("<H", len(vid)))
-            fh.write(vid)
-            fh.write(struct.pack("<I", ex.features.num_frames))
-            fh.write(struct.pack("<H", len(labels)))
-            fh.write(struct.pack("<%dI" % len(labels), *labels))
-            fh.write(np.ascontiguousarray(ex.features.frames,
-                                          dtype="<f4").tobytes())
+        fh.write(struct.pack("<IIQ", FORMAT_VERSION, partition.dim,
+                             len(partition)))
+        for i, (vid, labs) in enumerate(zip(partition.video_ids,
+                                            partition.labels)):
+            vid = vid.encode("utf-8")
+            labs = sorted(labs)
+            fh.write(struct.pack("<H%dsIH%dI" % (len(vid), len(labs)),
+                                 len(vid), vid, bounds[i + 1] - bounds[i],
+                                 len(labs), *labs))
+            fh.write(frames[bounds[i]:bounds[i + 1]])
 
-    return DatasetManifest(partition=partition, example_count=len(examples),
-                           feature_dim=dim, paths=[str(path)])
+    return DatasetManifest(partition=name, example_count=len(partition),
+                           feature_dim=partition.dim, paths=[str(path)])
 
 
 def read_features(path):
-    """Read back examples written by :func:`write_features`."""
+    """Read back a partition written by :func:`write_features`: the video
+    headers are parsed in turn and their frames gathered into one matrix."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -171,33 +171,40 @@ def read_features(path):
     if version != FORMAT_VERSION:
         raise DataFormatError("unsupported format version %d" % version)
 
-    examples = []
+    video_ids, labels, starts, counts = [], [], [], []
     off = 24
     try:
         for _ in range(count):
             (vid_len,) = struct.unpack_from("<H", data, off)
             off += 2
-            vid = data[off:off + vid_len].decode("utf-8")
+            video_ids.append(data[off:off + vid_len].decode("utf-8"))
             off += vid_len
-            (n_frames,) = struct.unpack_from("<I", data, off)
-            off += 4
-            (n_labels,) = struct.unpack_from("<H", data, off)
-            off += 2
-            labels = struct.unpack_from("<%dI" % n_labels, data, off)
+            n_frames, n_labels = struct.unpack_from("<IH", data, off)
+            off += 6
+            labels.append(struct.unpack_from("<%dI" % n_labels, data, off))
             off += 4 * n_labels
-            n_vals = n_frames * dim
-            end = off + 4 * n_vals
-            if end > len(data):
-                raise DataFormatError("truncated feature payload in %s" % path)
-            frames = np.frombuffer(data, dtype="<f4", count=n_vals,
-                                   offset=off).reshape(n_frames, dim).copy()
-            off += 4 * n_vals
-            examples.append(VideoExample(
-                features=FrameFeatureSet(video_id=vid, frames=frames),
-                ground_truth=frozenset(labels)))
+            starts.append(off)
+            counts.append(n_frames)
+            off += 4 * n_frames * dim
     except struct.error as exc:
         raise DataFormatError("truncated file %s" % path) from exc
-    return examples
+    if off > len(data):
+        raise DataFormatError("truncated feature payload in %s" % path)
+    if off < len(data):
+        raise DataFormatError("%d trailing bytes in %s"
+                              % (len(data) - off, path))
+
+    frames = np.concatenate(
+        [np.empty(0, dtype=np.float32)]
+        + [np.frombuffer(data, dtype="<f4", count=n * dim, offset=start)
+           for start, n in zip(starts, counts)])
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    try:
+        return Partition(video_ids, frames.reshape(offsets[-1], dim), offsets,
+                         labels)
+    except ValueError as exc:
+        raise DataFormatError("%s: %s" % (path, exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -229,7 +236,7 @@ class ClusterSpec:
 
 def generate_synthetic(seed, n_labels, n_videos, dim, cluster_spec,
                        frames_min=5, frames_max=30, second_label_prob=0.3):
-    """Deterministic synthetic corpus with label-conditioned Gaussian frames.
+    """Deterministic synthetic partition of label-conditioned Gaussian frames.
 
     Video i always carries label (i mod L), so every label has positives
     whenever n_videos >= n_labels; a second label is added with probability
@@ -241,7 +248,7 @@ def generate_synthetic(seed, n_labels, n_videos, dim, cluster_spec,
         raise ValueError("cluster_spec shape mismatch")
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
-    examples = []
+    label_sets, chunks = [], []
     for i in range(n_videos):
         labels = {i % n_labels}
         if n_labels > 1 and rng.random() < second_label_prob:
@@ -256,10 +263,12 @@ def generate_synthetic(seed, n_labels, n_videos, dim, cluster_spec,
             frames[t] = (cluster_spec.means[lab]
                          + cluster_spec.scales[lab]
                          * rng.standard_normal(dim)).astype(np.float32)
-        examples.append(VideoExample(
-            features=FrameFeatureSet(video_id="v%06d" % i, frames=frames),
-            ground_truth=frozenset(labels)))
-    return examples
+        label_sets.append(labels)
+        chunks.append(frames)
+    offsets = np.zeros(n_videos + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in chunks], out=offsets[1:])
+    return Partition(["v%06d" % i for i in range(n_videos)],
+                     np.concatenate(chunks), offsets, label_sets)
 
 
 def label_matrix(label_sets, n_labels):

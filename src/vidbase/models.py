@@ -270,11 +270,11 @@ def serialize_model(model):
 def deserialize_model(blob):
     if blob[:8] != MODEL_MAGIC:
         raise ModelFormatError("bad magic")
-    version, kind = struct.unpack_from("<IB", blob, 8)
-    if version != MODEL_VERSION:
-        raise ModelFormatError("unsupported model version %d" % version)
-    off = 13
     try:
+        version, kind = struct.unpack_from("<IB", blob, 8)
+        if version != MODEL_VERSION:
+            raise ModelFormatError("unsupported model version %d" % version)
+        off = 13
         dim, n_experts, l2 = struct.unpack_from("<IId", blob, off)
         off += 16
 
@@ -293,17 +293,22 @@ def deserialize_model(blob):
             if n_experts < 1:
                 raise ModelFormatError("MoE model requires H >= 1")
             shape = (n_experts, dim + 1)
-            return MoEModel(gating=take(shape), experts=take(shape), l2=l2,
-                            gating_grad_sq=take(shape),
-                            expert_grad_sq=take(shape))
-        if kind == KIND_HINGE:
+            model = MoEModel(gating=take(shape), experts=take(shape), l2=l2,
+                             gating_grad_sq=take(shape),
+                             expert_grad_sq=take(shape))
+        elif kind == KIND_HINGE:
             (margin,) = struct.unpack_from("<d", blob, off)
             off += 8
-            return HingeModel(weights=take((dim + 1,)), margin=margin, l2=l2,
-                              grad_sq=take((dim + 1,)))
-        if kind == KIND_LOGISTIC:
-            return LogisticModel(weights=take((dim + 1,)), l2=l2,
-                                 grad_sq=take((dim + 1,)))
+            model = HingeModel(weights=take((dim + 1,)), margin=margin, l2=l2,
+                               grad_sq=take((dim + 1,)))
+        elif kind == KIND_LOGISTIC:
+            model = LogisticModel(weights=take((dim + 1,)), l2=l2,
+                                  grad_sq=take((dim + 1,)))
+        else:
+            raise ModelFormatError("unknown model kind %d" % kind)
     except struct.error as exc:
         raise ModelFormatError("truncated model payload") from exc
-    raise ModelFormatError("unknown model kind %d" % kind)
+    if off != len(blob):
+        raise ModelFormatError("%d trailing bytes after the model payload"
+                               % (len(blob) - off))
+    return model

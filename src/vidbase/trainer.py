@@ -97,25 +97,23 @@ def build_sampling_plan(label_id, positives_mask, cap, seed):
                         pos_indices=pos_sample, neg_indices=neg_sample)
 
 
-def expand_frame_examples(videos, frames_per_video, seed):
-    """Sample up to `frames_per_video` distinct frames per video, each
-    carrying the full video-level label set. Returns (frames, label_sets,
-    video_index) with video_index mapping each frame back to its video."""
+def expand_frame_examples(partition, frames_per_video, seed):
+    """Sample up to `frames_per_video` distinct frames per video of a
+    partition. Returns (frames, video_index): the sampled frames as float64
+    rows, and for each row the index of its video."""
     if frames_per_video < 1:
         raise ValueError("frames_per_video must be >= 1")
     rng = np.random.default_rng(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xF8A3]))
-    rows, label_sets, video_index = [], [], []
-    for vi, ex in enumerate(videos):
-        n = ex.features.num_frames
-        take = min(n, frames_per_video)
-        picks = np.sort(rng.choice(n, size=take, replace=False))
-        for t in picks:
-            rows.append(ex.features.frames[t])
-            label_sets.append(ex.ground_truth)
-            video_index.append(vi)
-    return (np.asarray(rows, dtype=np.float64), label_sets,
-            np.asarray(video_index))
+    counts = np.diff(partition.offsets)
+    picks = [np.sort(rng.choice(n, size=min(n, frames_per_video),
+                                replace=False))
+             for n in counts.tolist()]
+    video_index = np.repeat(np.arange(len(counts)),
+                            np.minimum(counts, frames_per_video))
+    rows = partition.offsets[video_index] + np.concatenate(
+        [np.empty(0, dtype=np.int64)] + picks)
+    return partition.frames[rows].astype(np.float64), video_index
 
 
 def _adagrad_step(weights, grad_sq, grad, lr, eps):
@@ -203,21 +201,21 @@ def train_all(vocab, x, y_matrix, cfg):
     return {lid: run(lid) for lid, _ in vocab.labels}
 
 
-def predict_video_frame_level(bank, frames):
-    """Average-pooled per-label probabilities over a video's frames.
+def predict_video_frame_level(bank, frames, n_labels):
+    """Average-pooled per-label probabilities over a video's frames, one
+    per label id below `n_labels`; labels without a model score 0.
     `frames` must already be in the models' feature space, without bias."""
     xb = M.add_bias(frames)
-    n_labels = max(bank) + 1
     scores = np.zeros(n_labels)
     for label_id, model in bank.items():
         scores[label_id] = float(np.mean(M.predict(model, xb)))
     return scores
 
 
-def predict_video_level(bank, descriptor):
-    """Per-label probabilities from a single aggregated video descriptor."""
+def predict_video_level(bank, descriptor, n_labels):
+    """Per-label probabilities from a single aggregated video descriptor,
+    one per label id below `n_labels`; labels without a model score 0."""
     xb = M.add_bias(np.asarray(descriptor, dtype=np.float64))
-    n_labels = max(bank) + 1
     scores = np.zeros(n_labels)
     for label_id, model in bank.items():
         scores[label_id] = float(M.predict(model, xb))

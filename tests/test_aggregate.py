@@ -63,19 +63,12 @@ def test_top1_is_max_and_nonincreasing():
     assert np.all(np.diff(out, axis=1) <= 0)
 
 
-def test_descriptor_mean_only():
-    d = agg.build_descriptor([[1.0, 2.0], [3.0, 4.0]], components=("mean",))
-    assert len(d.values) == 2
-    assert np.array_equal(d.values, [2.0, 3.0])
-
-
 def test_descriptor_layout():
     rng = np.random.default_rng(3)
-    frames = rng.standard_normal((10, 4))
-    d = agg.build_descriptor(frames, k=5)
-    assert len(d.values) == 4 * (2 + 5)
-    assert [(name, off) for name, off, _ in d.layout] == \
-        [("mean", 0), ("std", 4), ("topk", 8)]
+    d = agg.build_descriptor(rng.standard_normal((10, 4)), k=5)
+    assert len(d) == 4 * (2 + 5)
+    assert agg.descriptor_layout(4, 5) == \
+        (("mean", 0, 4), ("std", 4, 4), ("topk", 8, 20))
 
 
 def test_descriptor_decomposition():
@@ -83,14 +76,11 @@ def test_descriptor_decomposition():
     frames = rng.standard_normal((20, 3))
     d = agg.build_descriptor(frames, k=2)
     mean, std = agg.aggregate_mean_std(frames)
-    assert np.array_equal(d.component("mean"), mean)
-    assert np.array_equal(d.component("std"), std)
-    assert np.array_equal(d.component("topk"), agg.aggregate_topk(frames, 2))
-
-
-def test_empty_components_rejected():
-    with pytest.raises(ValueError):
-        agg.build_descriptor([[1.0]], components=())
+    parts = {name: d[off:off + length]
+             for name, off, length in agg.descriptor_layout(3, 2)}
+    assert np.array_equal(parts["mean"], mean)
+    assert np.array_equal(parts["std"], std)
+    assert np.array_equal(parts["topk"], agg.aggregate_topk(frames, 2))
 
 
 def test_frame_permutation_invariance():
@@ -98,7 +88,7 @@ def test_frame_permutation_invariance():
     frames = rng.standard_normal((30, 3))
     d1 = agg.build_descriptor(frames, k=4)
     d2 = agg.build_descriptor(frames[rng.permutation(30)], k=4)
-    assert np.allclose(d1.values, d2.values, rtol=1e-12, atol=1e-12)
+    assert np.allclose(d1, d2, rtol=1e-12, atol=1e-12)
 
 
 def test_length_formula():
@@ -106,16 +96,15 @@ def test_length_formula():
     for dim in (1, 3, 8):
         for k in (1, 2, 5):
             frames = rng.standard_normal((6, dim))
-            assert len(agg.build_descriptor(frames, k=k).values) == dim * (2 + k)
+            assert len(agg.build_descriptor(frames, k=k)) == dim * (2 + k)
 
 
 def test_global_normalizer():
     rng = np.random.default_rng(7)
-    descs = [agg.build_descriptor(rng.standard_normal((10, 3)), k=2)
-             for _ in range(2000)]
-    t = agg.fit_global_normalizer(descs)
+    sample = np.asarray([agg.build_descriptor(rng.standard_normal((10, 3)), k=2)
+                         for _ in range(2000)])
+    t = agg.fit_global_normalizer(sample)
     from vidbase.preprocess import apply_whitening
-    sample = np.asarray([d.values for d in descs])
     z = apply_whitening(t, sample, l2_normalize=False)
     cov = z.T @ z / len(z)
     assert np.max(np.abs(cov - np.eye(cov.shape[0]))) < 0.15
@@ -133,3 +122,22 @@ def test_descriptor_file_roundtrip(tmp_path):
     assert vids == ["a", "b", "c", "d", "e"]
     assert back_layout == layout
     assert np.array_equal(back, mat)
+
+
+def test_descriptor_file_rejects_truncation_and_trailing_bytes(tmp_path):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "x.desc"
+    agg.write_descriptors(path, ["a", "b", "c"], rng.standard_normal((3, 4)),
+                          (("mean", 0, 4),))
+    blob = path.read_bytes()
+    # 30 bytes cuts the layout table, half the file cuts a row, and one
+    # byte short cuts the last value
+    for size in (9, 30, len(blob) // 2, len(blob) - 1):
+        path.write_bytes(blob[:size])
+        with pytest.raises(ValueError, match="truncated") as err:
+            agg.read_descriptors(path)
+        assert str(path) in str(err.value)
+    path.write_bytes(blob + b"\0" * 3)
+    with pytest.raises(ValueError, match="3 trailing bytes") as err:
+        agg.read_descriptors(path)
+    assert str(path) in str(err.value)

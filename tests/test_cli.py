@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -26,7 +27,7 @@ def test_gen_synthetic_split_and_artifacts(corpus):
     assert len(parts["train"]) == 140
     assert len(parts["validate"]) == 40
     assert len(parts["test"]) == 20
-    ids = [ex.features.video_id for exs in parts.values() for ex in exs]
+    ids = [vid for part in parts.values() for vid in part.video_ids]
     assert len(set(ids)) == 200
     with open(os.path.join(corpus, "vocab.txt")) as fh:
         assert len(fh.read().splitlines()) == 4
@@ -43,6 +44,19 @@ def test_gen_synthetic_deterministic(tmp_path):
     for part in ("train", "validate", "test"):
         assert (a / ("%s.features" % part)).read_bytes() == \
             (b / ("%s.features" % part)).read_bytes()
+
+
+def test_gen_synthetic_bytes_pinned(tmp_path):
+    # the generator's draw order and the feature file format are fixed:
+    # these files must never change for the same arguments
+    out = tmp_path / "g"
+    assert run("gen-synthetic", "--out", str(out), "--seed", "4",
+               "--labels", "3", "--videos", "40", "--dim", "5") == cli.EXIT_OK
+    digests = {part: hashlib.sha256((out / ("%s.features" % part))
+                                    .read_bytes()).hexdigest()[:16]
+               for part in cli.PARTITIONS}
+    assert digests == {"train": "565e74892ebe34ad", "validate": "bcca7efad1b55047",
+                       "test": "f7048961a970d4fa"}
 
 
 def test_preprocess_refuses_leaky_fit(corpus, tmp_path):
@@ -68,8 +82,8 @@ def test_preprocess_outputs(preprocessed):
     with open(os.path.join(preprocessed, "report.txt")) as fh:
         report = dict(line.split("=", 1) for line in fh.read().splitlines())
     assert float(report["quantization_relative_rmse"]) < 0.05
-    examples = data.read_features(os.path.join(preprocessed, "train.features"))
-    assert examples[0].features.dim == 8
+    partition = data.read_features(os.path.join(preprocessed, "train.features"))
+    assert partition.dim == 8
 
 
 @pytest.mark.parametrize("quantize", [True, False])
@@ -84,8 +98,7 @@ def test_preprocess_matches_per_video_reference(tmp_path, quantize):
     argv = ["preprocess", "--data", str(src), "--out", str(out)]
     assert run(*(argv + ([] if quantize else ["--no-quantize"]))) == cli.EXIT_OK
 
-    train = data.read_features(str(src / "train.features"))
-    fit_frames = np.concatenate([ex.features.frames for ex in train])
+    fit_frames = data.read_features(str(src / "train.features")).frames
     t = preprocess.fit_whitening(fit_frames, fit_frames.shape[1])
     q = preprocess.fit_quantizer(preprocess.apply_whitening(
         t, fit_frames, l2_normalize=False)) if quantize else None
@@ -93,18 +106,17 @@ def test_preprocess_matches_per_video_reference(tmp_path, quantize):
     for part in cli.PARTITIONS:
         got = data.read_features(str(out / ("%s.features" % part)))
         want = data.read_features(str(src / ("%s.features" % part)))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            z = preprocess.apply_whitening(t, w.features.frames,
-                                           l2_normalize=False)
+        assert got.video_ids == want.video_ids
+        assert got.labels == want.labels
+        assert np.array_equal(got.offsets, want.offsets)
+        for g, w in zip(got.videos(), want.videos()):
+            z = preprocess.apply_whitening(t, w, l2_normalize=False)
             if q is not None:
                 z_q = preprocess.dequantize(q, preprocess.quantize(q, z))
                 err2 += float(np.sum((z_q - z) ** 2))
                 norm2 += float(np.sum(z ** 2))
                 z = z_q
-            assert g.features.video_id == w.features.video_id
-            assert g.ground_truth == w.ground_truth
-            assert g.features.frames.tobytes() == z.astype(np.float32).tobytes()
+            assert g.tobytes() == z.astype(np.float32).tobytes()
     report = dict(line.split("=", 1)
                   for line in (out / "report.txt").read_text().splitlines())
     if quantize:
@@ -118,12 +130,23 @@ def test_preprocess_empty_partition(tmp_path):
     src = tmp_path / "corpus"
     assert run("gen-synthetic", "--out", str(src), "--seed", "1",
                "--labels", "2", "--videos", "5", "--dim", "4") == cli.EXIT_OK
-    assert data.read_features(str(src / "test.features")) == []
+    assert len(data.read_features(str(src / "test.features"))) == 0
     out = tmp_path / "prep"
     assert run("preprocess", "--data", str(src), "--out", str(out)) \
         == cli.EXIT_OK
-    assert data.read_features(str(out / "test.features")) == []
+    empty = data.read_features(str(out / "test.features"))
+    # an empty partition still carries its dimension
+    assert len(empty) == 0 and empty.dim == 4
     assert "example_count=0" in (out / "test.manifest").read_text()
+
+    bank = tmp_path / "fbank"
+    assert run("train", "--data", str(out), "--vocab-dir", str(src),
+               "--out", str(bank), "--model", "logistic", "--level", "frame",
+               "--iterations", "1") == cli.EXIT_OK
+    preds = tmp_path / "preds.txt"
+    assert run("predict", "--bank", str(bank), "--data", str(out),
+               "--partition", "test", "--out", str(preds)) == cli.EXIT_OK
+    assert preds.read_text() == ""
 
 
 def test_encode_stats_matches_fresh_pinv_per_video(preprocessed, tmp_path,
@@ -260,9 +283,9 @@ def test_frame_level_train_predict(corpus, tmp_path):
     code = run("predict", "--bank", str(bank), "--data", str(corpus),
                "--partition", "validate", "--out", str(preds))
     assert code == cli.EXIT_OK
-    examples = data.read_features(os.path.join(corpus, "validate.features"))
+    partition = data.read_features(os.path.join(corpus, "validate.features"))
     n_lines = len(preds.read_text().splitlines())
-    assert n_lines == len(examples) * 4
+    assert n_lines == len(partition) * 4
 
 
 def test_exit_codes():
@@ -283,11 +306,10 @@ def test_exit_codes():
 def test_evaluate_label_count_mismatch(corpus, tmp_path):
     preds = tmp_path / "short.txt"
     # predictions only cover 2 of the 4 labels
-    examples = data.read_features(os.path.join(corpus, "test.features"))
+    partition = data.read_features(os.path.join(corpus, "test.features"))
     with open(preds, "w") as fh:
-        for ex in examples:
-            fh.write("%s 0 0.5\n%s 1 0.5\n"
-                     % (ex.features.video_id, ex.features.video_id))
+        for vid in partition.video_ids:
+            fh.write("%s 0 0.5\n%s 1 0.5\n" % (vid, vid))
     code = run("evaluate", "--predictions", str(preds), "--data", str(corpus),
                "--partition", "test", "--out", str(tmp_path / "r.txt"))
     # refused either at prediction parsing (data) or label-count check (usage)
@@ -359,3 +381,56 @@ def test_train_rejects_malformed_vocabulary(corpus, encoded, tmp_path, capsys,
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert str(vocab_dir / "vocab.txt") in err and "line 2" in err
+
+
+def test_predict_scores_trailing_skipped_label(corpus, encoded, tmp_path):
+    # label 4 of a 5-label vocabulary has no examples: train skips it, and
+    # predict still scores it (0) for every video
+    vocab_dir = tmp_path / "vocab"
+    vocab_dir.mkdir()
+    (vocab_dir / "vocab.txt").write_text(
+        (corpus / "vocab.txt").read_text() + "4 label_0004\n")
+    bank = tmp_path / "bank"
+    assert run("train", "--descriptors", str(encoded), "--vocab-dir",
+               str(vocab_dir), "--out", str(bank), "--model", "logistic",
+               "--iterations", "1") == cli.EXIT_OK
+    assert "skip 4 " in (bank / "index.txt").read_text()
+    preds = tmp_path / "preds.txt"
+    assert run("predict", "--bank", str(bank), "--descriptors", str(encoded),
+               "--partition", "test", "--out", str(preds)) == cli.EXIT_OK
+    rows = [line.split() for line in preds.read_text().splitlines()]
+    n_videos = len((encoded / "test.labels").read_text().splitlines())
+    assert len(rows) == 5 * n_videos
+    assert [float(s) for _, lab, s in rows if lab == "4"] == [0.0] * n_videos
+
+
+def _copy_dir(src, dst):
+    dst.mkdir()
+    for name in os.listdir(src):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+@pytest.mark.parametrize("fault", ["truncated", "trailing"])
+def test_predict_rejects_damaged_inputs(encoded, bank, tmp_path, capsys,
+                                        fault):
+    def damage(path):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2] if fault == "truncated"
+                         else blob + b"\0" * 8)
+
+    desc = _copy_dir(encoded, tmp_path / "desc")
+    bad_bank = _copy_dir(bank, tmp_path / "bank")
+    for argv, victim in (
+            (["--bank", str(bank), "--descriptors", str(desc)],
+             desc / "test.desc"),
+            (["--bank", str(bad_bank), "--descriptors", str(encoded)],
+             bad_bank / "model_0002.bin")):
+        damage(victim)
+        capsys.readouterr()
+        assert run("predict", *argv, "--partition", "test",
+                   "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(victim) in err
+        assert ("truncated" if fault == "truncated" else "trailing") in err
+    assert not (tmp_path / "p.txt").exists()

@@ -318,6 +318,19 @@ def test_truncated_payload_rejected():
         M.deserialize_model(blob[:-8])
 
 
+@pytest.mark.parametrize("model", [M.LogisticModel.zeros(4),
+                                   M.HingeModel.zeros(4),
+                                   M.MoEModel.zeros(4, n_experts=2)],
+                         ids=["logistic", "hinge", "moe"])
+def test_damaged_payload_rejected(model):
+    blob = M.serialize_model(model)
+    for size in (10, 20, len(blob) - 1):
+        with pytest.raises(M.ModelFormatError, match="truncated"):
+            M.deserialize_model(blob[:size])
+    with pytest.raises(M.ModelFormatError, match="8 trailing bytes"):
+        M.deserialize_model(blob + b"\0" * 8)
+
+
 def test_bad_magic_rejected():
     with pytest.raises(M.ModelFormatError, match="bad magic"):
         M.deserialize_model(b"WRONGMAG" + b"\x00" * 64)

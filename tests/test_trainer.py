@@ -91,21 +91,47 @@ def _tiny_videos(seed=0, n_videos=5, dim=3, frames=(2, 40)):
                                    frames_min=frames[0], frames_max=frames[1])
 
 
+def _expand_per_video_reference(partition, frames_per_video, seed):
+    # Test-only reference: the per-video loop that gathers one row at a time
+    rng = np.random.default_rng(
+        np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xF8A3]))
+    rows, video_index = [], []
+    for vi, frames in enumerate(partition.videos()):
+        n = frames.shape[0]
+        picks = np.sort(rng.choice(n, size=min(n, frames_per_video),
+                                   replace=False))
+        for t in picks:
+            rows.append(frames[t])
+            video_index.append(vi)
+    return np.asarray(rows, dtype=np.float64), np.asarray(video_index)
+
+
+@pytest.mark.parametrize("seed,per_video,frames", [
+    (0, 20, (2, 40)), (1, 1, (1, 3)), (2, 5, (1, 9)), (3, 50, (5, 30))],
+    ids=["cap-20", "cap-1", "cap-5-single-frames", "cap-above-every-video"])
+def test_expand_frame_examples_matches_per_video_reference(seed, per_video,
+                                                           frames):
+    videos = _tiny_videos(seed=seed, n_videos=40, frames=frames)
+    got, got_index = tr.expand_frame_examples(videos, per_video, seed=seed + 7)
+    want, want_index = _expand_per_video_reference(videos, per_video,
+                                                   seed=seed + 7)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert np.array_equal(got_index, want_index)
+
+
 def test_expand_frame_examples_caps_per_video():
     videos = _tiny_videos()
-    frames, labels, vidx = tr.expand_frame_examples(videos, 20, seed=0)
+    frames, vidx = tr.expand_frame_examples(videos, 20, seed=0)
     counts = np.bincount(vidx, minlength=len(videos))
-    for vi, ex in enumerate(videos):
-        assert counts[vi] == min(ex.features.num_frames, 20)
-        assert all(labels[i] == ex.ground_truth
-                   for i in np.flatnonzero(vidx == vi))
+    assert counts.tolist() == np.minimum(np.diff(videos.offsets), 20).tolist()
 
 
 def test_expand_frame_examples_frames_are_real_rows():
     videos = _tiny_videos(seed=1)
-    frames, _, vidx = tr.expand_frame_examples(videos, 5, seed=3)
+    frames, vidx = tr.expand_frame_examples(videos, 5, seed=3)
+    pools = list(videos.videos())
     for i, vi in enumerate(vidx):
-        pool = videos[vi].features.frames.astype(np.float64)
+        pool = pools[vi].astype(np.float64)
         assert any(np.array_equal(frames[i], row) for row in pool)
 
 
@@ -113,7 +139,7 @@ def test_expand_frame_examples_deterministic():
     videos = _tiny_videos(seed=2)
     a = tr.expand_frame_examples(videos, 10, seed=5)
     b = tr.expand_frame_examples(videos, 10, seed=5)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[2], b[2])
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 # --------------------------------------------------------------- training
@@ -234,9 +260,11 @@ def test_predict_video_frame_level_average_pooling():
     model = M.LogisticModel(weights=rng.standard_normal(4))
     bank = {0: model}
     frames = rng.standard_normal((6, 3))
-    got = tr.predict_video_frame_level(bank, frames)
+    got = tr.predict_video_frame_level(bank, frames, 3)
     per_frame = [float(M.predict(model, M.add_bias(f))) for f in frames]
     assert got[0] == pytest.approx(np.mean(per_frame), abs=1e-12)
+    # labels without a model, the last ones included, score 0
+    assert got.shape == (3,) and got[1] == got[2] == 0.0
 
 
 def test_predict_video_level_matches_model():
@@ -245,10 +273,10 @@ def test_predict_video_level_matches_model():
                        experts=rng.standard_normal((2, 5)))
     bank = {0: model, 1: M.LogisticModel(weights=rng.standard_normal(5))}
     d = rng.standard_normal(4)
-    got = tr.predict_video_level(bank, d)
+    got = tr.predict_video_level(bank, d, 3)
     assert got[0] == pytest.approx(
         float(M.moe_predict(model, M.add_bias(d))), abs=1e-12)
-    assert got.shape == (2,)
+    assert got.shape == (3,) and got[2] == 0.0
 
 
 # -------------------------------------------------------- full-batch descent
