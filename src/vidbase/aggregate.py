@@ -73,6 +73,13 @@ def write_descriptors(path, video_ids, matrix, layout):
             fh.write(np.asarray(row, dtype="<f4").tobytes())
 
 
+def _decode(raw, path, what):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("%s: %s is not UTF-8" % (path, what)) from None
+
+
 def read_descriptors(path):
     """Read a descriptor file back as (video ids, (V, d) float64 matrix,
     layout). A file that is cut short or longer than its header says is a
@@ -89,7 +96,8 @@ def read_descriptors(path):
         for _ in range(n_layout):
             (tag_len,) = struct.unpack_from("<H", data, off)
             off += 2
-            name = data[off:off + tag_len].decode("utf-8")
+            name = _decode(data[off:off + tag_len], path,
+                           "layout entry %d" % len(layout))
             off += tag_len
             comp_off, comp_len = struct.unpack_from("<II", data, off)
             off += 8
@@ -102,7 +110,8 @@ def read_descriptors(path):
         for i in range(count):
             (vid_len,) = struct.unpack_from("<H", data, off)
             off += 2
-            video_ids.append(data[off:off + vid_len].decode("utf-8"))
+            video_ids.append(_decode(data[off:off + vid_len], path,
+                                     "the id of video %d" % i))
             off += vid_len
             if off + 4 * dim > len(data):
                 raise ValueError(truncated)

@@ -358,9 +358,12 @@ def cmd_train(args):
 
 
 def _load_bank(bank_dir):
-    """The bank's models by label id, its label count (every label of
-    index.txt, trained or skipped) and the key=value lines of index.txt."""
-    bank, meta, n_labels = {}, {}, 0
+    """The bank's models stacked into one `trainer.LabelBank`, its label
+    count (every label of index.txt, trained or skipped) and the key=value
+    lines of index.txt. Models that cannot be stacked (another kind,
+    feature dim, expert count, l2 or margin) are a data error naming the
+    first mismatching file."""
+    label_ids, loaded, paths, meta, n_labels = [], [], [], {}, 0
     with open(os.path.join(bank_dir, "index.txt"), encoding="utf-8") as fh:
         for line in fh:
             parts = line.split()
@@ -374,47 +377,44 @@ def _load_bank(bank_dir):
                 with open(path, "rb") as mf:
                     blob = mf.read()
                 try:
-                    bank[label_id] = models.deserialize_model(blob)
+                    loaded.append(models.deserialize_model(blob))
                 except models.ModelFormatError as exc:
                     raise models.ModelFormatError("%s: %s" % (path, exc)) \
                         from exc
+                label_ids.append(label_id)
+                paths.append(path)
             elif "=" in parts[0]:
                 key, _, value = parts[0].partition("=")
                 meta[key] = value
-    return bank, n_labels, meta
+    if not loaded:
+        return None, n_labels, meta
+    stacked = models.stack_models(loaded, names=paths)
+    return trainer.LabelBank(stacked, np.array(label_ids)), n_labels, meta
 
 
 def cmd_predict(args):
     bank, n_labels, meta = _load_bank(args.bank)
-    if not bank:
+    if bank is None:
         raise UsageError("model bank %s is empty" % args.bank)
-    level = meta.get("level", "video")
-    lines_vids, scores = [], []
-    if level == "frame":
+    if meta.get("level", "video") == "frame":
         partition = _load_partition(args.data, args.partition)
-        l2norm = meta.get("l2_normalize", "1") == "1"
         if int(meta["feature_dim"]) != partition.dim:
             raise UsageError("bank feature_dim does not match data")
-        for vid, frames in zip(partition.video_ids, partition.videos()):
-            frames = np.asarray(frames, dtype=np.float64)
-            if l2norm:
-                frames = _l2_normalize_rows(frames)
-            lines_vids.append(vid)
-            scores.append(trainer.predict_video_frame_level(bank, frames,
-                                                            n_labels))
+        frames = partition.frames.astype(np.float64)
+        if meta.get("l2_normalize", "1") == "1":
+            frames = _l2_normalize_rows(frames)
+        video_ids = partition.video_ids
+        scores = trainer.predict_video_frame_level(
+            bank, frames, partition.offsets, n_labels)
     else:
-        vids, mat, _ = aggregate.read_descriptors(
+        video_ids, mat, _ = aggregate.read_descriptors(
             os.path.join(args.descriptors, "%s.desc" % args.partition))
         if int(meta["feature_dim"]) != mat.shape[1]:
             raise UsageError("bank feature_dim does not match descriptors")
-        for vid, row in zip(vids, mat):
-            lines_vids.append(vid)
-            scores.append(trainer.predict_video_level(bank, row, n_labels))
+        scores = trainer.predict_video_level(bank, mat, n_labels)
 
-    pset = metrics.PredictionSet(
-        video_ids=lines_vids,
-        scores=np.reshape(scores, (len(lines_vids), n_labels)),
-        truths=[frozenset()] * len(lines_vids))
+    pset = metrics.PredictionSet(video_ids=video_ids, scores=scores,
+                                 truths=[frozenset()] * len(video_ids))
     metrics.write_predictions(pset, args.out)
     return EXIT_OK
 

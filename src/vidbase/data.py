@@ -177,7 +177,11 @@ def read_features(path):
         for _ in range(count):
             (vid_len,) = struct.unpack_from("<H", data, off)
             off += 2
-            video_ids.append(data[off:off + vid_len].decode("utf-8"))
+            try:
+                video_ids.append(data[off:off + vid_len].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise DataFormatError("%s: the id of video %d is not UTF-8"
+                                      % (path, len(video_ids))) from None
             off += vid_len
             n_frames, n_labels = struct.unpack_from("<IH", data, off)
             off += 6

@@ -217,6 +217,12 @@ def read_predictions(path, truths_by_video=None):
                                     "" if vid in truths_by_video
                                     else " and is not in the partition"))
         truths = [truths_by_video[vid] for vid in order]
+        for vid, labels in zip(order, truths):
+            outside = sorted(e for e in labels if e >= n_labels)
+            if outside:
+                raise ValueError("%s: ground-truth label %d of video %s is "
+                                 "not among the %d labels the file scores"
+                                 % (path, outside[0], vid, n_labels))
     scores = np.zeros((len(order), n_labels))
     for v, vid in enumerate(order):
         for e, s in rows[vid].items():

@@ -2,20 +2,31 @@
 and Mixture of Experts, with their losses, exact gradients and
 serialization.
 
+Every model is a stack of L labels: each of its arrays carries a leading
+label axis, (L, D+1) for logistic and hinge weights and (L, H, D+1) for
+the MoE gating and expert weights. A single label is L = 1. Labels never
+interact: every product over the label axis is one `np.matmul`, which
+computes each label's slice with the same BLAS call as a single-label
+product, so a stacked result equals the L single-label ones bit for bit.
+
 All feature vectors are (D+1)-dimensional with a constant-1 last coordinate
 acting as the bias feature. The bias coordinate is excluded from L2
 regularization. Models carry their Adagrad accumulators so training is
 resumable after serialization.
 
-Each model has one `loss(X, y, w)`, sum_i w_i l(x_i, y_i) plus
-l2 ||W[..., :-1]||^2 over a batch (one example is a batch of one), and one
-`gradient`, its exact derivative with the L2 term scaled by `reg_scale` (a
-mini-batch's share of the sample). `params` pairs each parameter block with
-its Adagrad accumulator, in the order `gradient` returns the blocks.
+Each model has one `loss(X, y, w)`: for X of shape (L, n, D+1) and y, w
+of shape (L, n), the (L,) vector of sum_i w_i l(x_i, y_i) plus
+l2 ||W[..., :-1]||^2 per label (one example is a batch of one). It has one
+`gradient(X, y, w, reg_scale)`, the exact derivative of each label's loss
+with its L2 term scaled by that label's `reg_scale` (a mini-batch's share
+of the sample). `params` pairs each parameter block with its Adagrad
+accumulator, in the order `gradient` returns the blocks. The predict
+functions score one (N, D+1) matrix shared by every label and return one
+column per label, (N, L).
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -52,20 +63,61 @@ def log_loss(p, g):
     return -(g * np.log(p) + (1.0 - g) * np.log(1.0 - p))
 
 
+def _scores(x, weights):
+    """(L, n) products x_i . w_l: `x` is one (n, D+1) matrix shared by the
+    labels or (L, n, D+1), one matrix per label; `weights` is (L, D+1)."""
+    return np.matmul(x, weights[:, :, None])[..., 0]
+
+
+def _expert_scores(x, weights):
+    """(L, n, H) products x_i . w_lh for `weights` of shape (L, H, D+1)."""
+    return np.matmul(x, weights.transpose(0, 2, 1))
+
+
+def _weighted_sum(w, v):
+    """(L,) sums sum_i w_li v_li of two (L, n) arrays."""
+    return np.matmul(w[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+class _LabelStack:
+    """The arrays named in ARRAYS carry the leading label axis."""
+
+    ARRAYS = ()
+
+    @property
+    def n_labels(self):
+        return getattr(self, self.ARRAYS[0]).shape[0]
+
+    def label(self, i):
+        """Label i of the stack as an L = 1 model with its own arrays."""
+        return replace(self, **{name: getattr(self, name)[i:i + 1].copy()
+                                for name in self.ARRAYS})
+
+
+def _stacked(arr, ndim, what):
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != ndim or arr.shape[0] < 1:
+        raise ValueError("%s must have %d axes, the first over labels"
+                         % (what, ndim))
+    return arr
+
+
 @dataclass
-class LogisticModel:
-    weights: np.ndarray          # (D+1,)
+class LogisticModel(_LabelStack):
+    weights: np.ndarray          # (L, D+1)
     l2: float = DEFAULT_L2
     grad_sq: np.ndarray = None   # Adagrad accumulator, same shape
 
+    ARRAYS = ("weights", "grad_sq")
+
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = _stacked(self.weights, 2, "logistic weights")
         if self.grad_sq is None:
             self.grad_sq = np.zeros_like(self.weights)
 
     @classmethod
-    def zeros(cls, dim, l2=DEFAULT_L2):
-        return cls(weights=np.zeros(dim + 1), l2=l2)
+    def zeros(cls, dim, l2=DEFAULT_L2, n_labels=1):
+        return cls(weights=np.zeros((n_labels, dim + 1)), l2=l2)
 
     @property
     def kind(self):
@@ -76,35 +128,39 @@ class LogisticModel:
         return ((self.weights, self.grad_sq),)
 
     def loss(self, x, y, w):
-        """Log loss of sigmoid(z), z = X w, written as log(1 + e^z) - y z so
+        """Log loss of sigmoid(z), z = x . w, written as log(1 + e^z) - y z so
         that it is exact for any z."""
-        z = x @ self.weights
-        return float(w @ (np.logaddexp(0.0, z) - y * z)) + _l2_penalty(self)
+        z = _scores(x, self.weights)
+        return _weighted_sum(w, np.logaddexp(0.0, z) - y * z) + _l2_penalty(self)
 
     def gradient(self, x, y, w, reg_scale=1.0):
         """(sigmoid(z) - y) x per row: exact for any z, so the probability
         clamp of logistic_predict is not applied here."""
-        grad = ((expit(x @ self.weights) - y) * w) @ x
+        r = (expit(_scores(x, self.weights)) - y) * w
+        grad = np.matmul(r[:, None, :], x)[:, 0]
         return (_add_l2(grad, self.weights, 2.0 * self.l2 * reg_scale),)
 
 
 @dataclass
-class HingeModel:
-    weights: np.ndarray
+class HingeModel(_LabelStack):
+    weights: np.ndarray          # (L, D+1)
     margin: float = 1.0
     l2: float = DEFAULT_L2
     grad_sq: np.ndarray = None
 
+    ARRAYS = ("weights", "grad_sq")
+
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = _stacked(self.weights, 2, "hinge weights")
         if self.margin <= 0:
             raise ValueError("hinge margin must be positive")
         if self.grad_sq is None:
             self.grad_sq = np.zeros_like(self.weights)
 
     @classmethod
-    def zeros(cls, dim, margin=1.0, l2=DEFAULT_L2):
-        return cls(weights=np.zeros(dim + 1), margin=margin, l2=l2)
+    def zeros(cls, dim, margin=1.0, l2=DEFAULT_L2, n_labels=1):
+        return cls(weights=np.zeros((n_labels, dim + 1)), margin=margin,
+                   l2=l2)
 
     @property
     def kind(self):
@@ -116,34 +172,37 @@ class HingeModel:
 
     def loss(self, x, y, w):
         """max(0, b - s w.x) per row, with s = 2y - 1."""
-        slack = self.margin - (2.0 * y - 1.0) * (x @ self.weights)
-        return float(w @ np.maximum(slack, 0.0)) + _l2_penalty(self)
+        slack = self.margin - (2.0 * y - 1.0) * _scores(x, self.weights)
+        return _weighted_sum(w, np.maximum(slack, 0.0)) + _l2_penalty(self)
 
     def gradient(self, x, y, w, reg_scale=1.0):
         """Subgradient of `loss`; the zero side is taken at the kink."""
         s = 2.0 * y - 1.0
-        active = self.margin - s * (x @ self.weights) > 0.0
-        grad = -((s * w * active) @ x)
+        active = self.margin - s * _scores(x, self.weights) > 0.0
+        grad = -np.matmul((s * w * active)[:, None, :], x)[:, 0]
         return (_add_l2(grad, self.weights, 2.0 * self.l2 * reg_scale),)
 
 
 @dataclass
-class MoEModel:
+class MoEModel(_LabelStack):
     """Softmax gating over H experts plus an implicit dummy state whose
     gating weights are zero; each expert is a logistic model."""
 
-    gating: np.ndarray            # (H, D+1)
-    experts: np.ndarray           # (H, D+1)
+    gating: np.ndarray            # (L, H, D+1)
+    experts: np.ndarray           # (L, H, D+1)
     l2: float = DEFAULT_L2
     gating_grad_sq: np.ndarray = None
     expert_grad_sq: np.ndarray = None
 
+    ARRAYS = ("gating", "experts", "gating_grad_sq", "expert_grad_sq")
+
     def __post_init__(self):
-        self.gating = np.asarray(self.gating, dtype=np.float64)
-        self.experts = np.asarray(self.experts, dtype=np.float64)
-        if self.gating.shape != self.experts.shape or self.gating.ndim != 2:
-            raise ValueError("gating and expert weights must share shape (H, D+1)")
-        if self.gating.shape[0] < 1:
+        self.gating = _stacked(self.gating, 3, "MoE gating weights")
+        self.experts = _stacked(self.experts, 3, "MoE expert weights")
+        if self.gating.shape != self.experts.shape:
+            raise ValueError("gating and expert weights must share shape "
+                             "(L, H, D+1)")
+        if self.gating.shape[1] < 1:
             raise ValueError("need at least one expert")
         if self.gating_grad_sq is None:
             self.gating_grad_sq = np.zeros_like(self.gating)
@@ -151,9 +210,9 @@ class MoEModel:
             self.expert_grad_sq = np.zeros_like(self.experts)
 
     @classmethod
-    def zeros(cls, dim, n_experts=2, l2=DEFAULT_L2):
-        return cls(gating=np.zeros((n_experts, dim + 1)),
-                   experts=np.zeros((n_experts, dim + 1)), l2=l2)
+    def zeros(cls, dim, n_experts=2, l2=DEFAULT_L2, n_labels=1):
+        shape = (n_labels, n_experts, dim + 1)
+        return cls(gating=np.zeros(shape), experts=np.zeros(shape), l2=l2)
 
     @property
     def kind(self):
@@ -165,84 +224,86 @@ class MoEModel:
                 (self.experts, self.expert_grad_sq))
 
     def loss(self, x, y, w):
-        return float(w @ log_loss(moe_predict(self, x), y)) + _l2_penalty(self)
+        return (_weighted_sum(w, log_loss(_moe_probability(self, x), y))
+                + _l2_penalty(self))
 
     def gradient(self, x, y, w, reg_scale=1.0):
         return moe_gradients_batch(self, x, y, w, reg_scale)
 
 
 def _l2_penalty(model):
-    """l2 * ||W[..., :-1]||^2 over every parameter block (bias excluded)."""
-    return model.l2 * sum(float(np.sum(param[..., :-1] ** 2))
+    """(L,) l2 * ||W[..., :-1]||^2 per label over every parameter block
+    (bias excluded)."""
+    return model.l2 * sum(np.sum(param[..., :-1] ** 2,
+                                 axis=tuple(range(1, param.ndim)))
                           for param, _ in model.params)
 
 
 def _add_l2(grad, param, coef):
-    """grad += coef * param with the bias coordinate left out."""
-    reg = coef * param
+    """grad += coef * param with the bias coordinate left out; `coef` is one
+    number or one per label."""
+    reg = (coef * param.T).T   # the label axis last, so that coef broadcasts
     reg[..., -1] = 0.0
     grad += reg
     return grad
 
 
 def logistic_predict(model, x):
-    x = np.asarray(x, dtype=np.float64)
     # clamped so extreme scores never underflow to an exact 0 or 1
-    return _clamp(expit(x @ model.weights))
+    return _clamp(expit(_scores(x, model.weights))).T
 
 
 def hinge_predict(model, x):
-    """Raw margin score w.x (not a probability)."""
-    x = np.asarray(x, dtype=np.float64)
-    return x @ model.weights
+    """Raw margin scores w.x (not probabilities), (N, L)."""
+    return _scores(x, model.weights).T
 
 
 def _gate_log_normalizer(act):
-    """log(1 + sum_h e^a_h) per row of the (N, H) gating activations: the
+    """log(1 + sum_h e^a_h) per row of the (..., H) gating activations: the
     log-sum-exp over the experts and the dummy state's implicit zero,
     shifted by m = max(0, max_h a_h) so that no exponent is positive."""
-    m = np.maximum(act.max(axis=1, keepdims=True), 0.0)
-    return m + np.log(np.exp(-m) + np.exp(act - m).sum(axis=1, keepdims=True))
+    m = np.maximum(act.max(axis=-1, keepdims=True), 0.0)
+    return m + np.log(np.exp(-m) + np.exp(act - m).sum(axis=-1, keepdims=True))
 
 
 def moe_gating(model, x):
     """Gating probabilities over the H experts (the dummy state takes the
-    remaining mass); works on a vector or (N, D+1) matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    act = np.atleast_2d(x) @ model.gating.T                # (N, H)
-    gate = np.exp(act - _gate_log_normalizer(act))
-    return gate[0] if single else gate
+    remaining mass), (L, n, H) for a shared (n, D+1) matrix or one
+    (L, n, D+1) matrix per label."""
+    act = _expert_scores(x, model.gating)
+    return np.exp(act - _gate_log_normalizer(act))
+
+
+def _moe_probability(model, x):
+    """(L, n) p(y=1 | x) = sum_h p(h | x) * sigmoid(u_h . x); always < 1
+    because the dummy state reserves probability mass."""
+    return np.sum(moe_gating(model, x)
+                  * expit(_expert_scores(x, model.experts)), axis=-1)
 
 
 def moe_predict(model, x):
-    """p(y=1 | x) = sum_h p(h | x) * sigmoid(u_h . x); always < 1 because
-    the dummy state reserves probability mass."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = np.atleast_2d(x)
-    gate = np.atleast_2d(moe_gating(model, batch))
-    p_expert = expit(batch @ model.experts.T)
-    p = np.sum(gate * p_expert, axis=1)
-    return p[0] if single else p
+    return _moe_probability(model, x).T
 
 
 def moe_gradients_batch(model, x, y, w, reg_scale=1.0):
     """Gradients of MoEModel.loss w.r.t. the gating and expert weights."""
-    gate = moe_gating(model, x)                             # (N, H)
-    p_expert = expit(x @ model.experts.T)                   # (N, H)
-    p = _clamp(np.sum(gate * p_expert, axis=1))             # (N,)
-    common = (w * (p - y) / (p * (1.0 - p)))[:, None]
+    gate = moe_gating(model, x)                             # (L, n, H)
+    p_expert = expit(_expert_scores(x, model.experts))      # (L, n, H)
+    p = _clamp(np.sum(gate * p_expert, axis=-1))            # (L, n)
+    common = (w * (p - y) / (p * (1.0 - p)))[..., None]
     coef = 2.0 * model.l2 * reg_scale
-    d_gating = (gate * (p_expert - p[:, None]) * common).T @ x
-    d_expert = (gate * p_expert * (1.0 - p_expert) * common).T @ x
+    d_gating = np.matmul((gate * (p_expert - p[..., None]) * common)
+                         .transpose(0, 2, 1), x)
+    d_expert = np.matmul((gate * p_expert * (1.0 - p_expert) * common)
+                         .transpose(0, 2, 1), x)
     return (_add_l2(d_gating, model.gating, coef),
             _add_l2(d_expert, model.experts, coef))
 
 
 def predict(model, x):
-    """Probability-like score for any model kind (hinge scores are mapped
-    through a sigmoid so they can be ranked on the same [0, 1] scale)."""
+    """(N, L) probability-like scores of the rows of x for every label
+    (hinge scores are mapped through a sigmoid so they can be ranked on the
+    same [0, 1] scale)."""
     if model.kind == KIND_LOGISTIC:
         return logistic_predict(model, x)
     if model.kind == KIND_MOE:
@@ -250,15 +311,39 @@ def predict(model, x):
     return expit(hinge_predict(model, x))
 
 
+def _signature(model):
+    return (model.kind, model.l2, getattr(model, "margin", None),
+            tuple(getattr(model, name).shape[1:] for name in model.ARRAYS))
+
+
+def stack_models(models, names):
+    """One model holding the labels of `models` in order. Every model must
+    match the first in kind, feature dim, expert count, l2 and margin; the
+    first that does not is reported by its entry in `names`."""
+    first = models[0]
+    for name, model in zip(names, models):
+        if _signature(model) != _signature(first):
+            raise ModelFormatError(
+                "%s: model kind, feature dim, expert count, l2 or margin "
+                "differs from %s" % (name, names[0]))
+    return replace(first, **{
+        field: np.concatenate([getattr(model, field) for model in models])
+        for field in first.ARRAYS})
+
+
 def serialize_model(model):
+    """The bytes of a one-label model."""
+    if model.n_labels != 1:
+        raise ValueError("a model file holds one label, not %d"
+                         % model.n_labels)
     head = MODEL_MAGIC + struct.pack("<IB", MODEL_VERSION, model.kind)
     if model.kind == KIND_MOE:
-        n_experts, dim1 = model.gating.shape
+        n_experts, dim1 = model.gating.shape[1:]
         body = struct.pack("<IId", dim1 - 1, n_experts, model.l2)
         arrays = (model.gating, model.experts,
                   model.gating_grad_sq, model.expert_grad_sq)
     else:
-        body = struct.pack("<IId", model.weights.shape[0] - 1, 0, model.l2)
+        body = struct.pack("<IId", model.weights.shape[1] - 1, 0, model.l2)
         if model.kind == KIND_HINGE:
             body += struct.pack("<d", model.margin)
         arrays = (model.weights, model.grad_sq)
@@ -268,6 +353,7 @@ def serialize_model(model):
 
 
 def deserialize_model(blob):
+    """The one-label model (L = 1) that serialize_model wrote."""
     if blob[:8] != MODEL_MAGIC:
         raise ModelFormatError("bad magic")
     try:
@@ -292,18 +378,18 @@ def deserialize_model(blob):
         if kind == KIND_MOE:
             if n_experts < 1:
                 raise ModelFormatError("MoE model requires H >= 1")
-            shape = (n_experts, dim + 1)
+            shape = (1, n_experts, dim + 1)
             model = MoEModel(gating=take(shape), experts=take(shape), l2=l2,
                              gating_grad_sq=take(shape),
                              expert_grad_sq=take(shape))
         elif kind == KIND_HINGE:
             (margin,) = struct.unpack_from("<d", blob, off)
             off += 8
-            model = HingeModel(weights=take((dim + 1,)), margin=margin, l2=l2,
-                               grad_sq=take((dim + 1,)))
+            model = HingeModel(weights=take((1, dim + 1)), margin=margin,
+                               l2=l2, grad_sq=take((1, dim + 1)))
         elif kind == KIND_LOGISTIC:
-            model = LogisticModel(weights=take((dim + 1,)), l2=l2,
-                                  grad_sq=take((dim + 1,)))
+            model = LogisticModel(weights=take((1, dim + 1)), l2=l2,
+                                  grad_sq=take((1, dim + 1)))
         else:
             raise ModelFormatError("unknown model kind %d" % kind)
     except struct.error as exc:

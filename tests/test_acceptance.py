@@ -41,54 +41,65 @@ def test_criterion_1_gradient_correctness():
     """The loss and gradient the trainer calls (`model.loss`,
     `model.gradient`) match central finite differences (1e-6 rel / 1e-8
     abs) for logistic, hinge away from the kink, and MoE H in {1, 2, 4},
-    with the L2 term and batches of 1 to 4 weighted rows, on 1000 random
-    instances per kind, in under 30 s."""
+    with the L2 term and batches of 1 to 4 weighted rows, on stacks of
+    L in {1, 3} labels, on 1000 random instances per kind, in under
+    30 s."""
     start = time.time()
     rng = np.random.default_rng(101)
     checked = 0
 
-    def batch(dim):
+    def batch(dim, n_labels):
         n = int(rng.integers(1, 5))
-        return (M.add_bias(rng.standard_normal((n, dim))),
-                rng.integers(0, 2, size=n).astype(float), 0.5 + rng.random(n))
+        x = M.add_bias(rng.standard_normal((n_labels * n, dim)))
+        return (x.reshape(n_labels, n, dim + 1),
+                rng.integers(0, 2, size=(n_labels, n)).astype(float),
+                0.5 + rng.random((n_labels, n)))
+
+    def total_loss(m, x, y, w):
+        # labels never interact, so the derivative of the summed loss by a
+        # parameter is the gradient of that parameter's own label
+        return lambda: float(np.sum(m.loss(x, y, w)))
 
     # logistic
-    for _ in range(1000):
-        dim = int(rng.integers(1, 17))
-        m = M.LogisticModel(weights=rng.standard_normal(dim + 1), l2=1e-3)
-        x, y, w = batch(dim)
-        (grad,) = m.gradient(x, y, w)
-        i = int(rng.integers(0, dim + 1))  # one random coordinate per instance
-        assert _fd_ok(grad[i],
-                      _central_diff(lambda: m.loss(x, y, w), m.weights, i))
+    for n in range(1000):
+        n_labels, dim = (1, 3)[n % 2], int(rng.integers(1, 17))
+        m = M.LogisticModel(weights=rng.standard_normal((n_labels, dim + 1)),
+                            l2=1e-3)
+        x, y, w = batch(dim, n_labels)
+        (grad,) = m.gradient(x, y, w, np.ones(n_labels))
+        i = int(rng.integers(0, m.weights.size))  # one random coordinate
+        assert _fd_ok(grad.flat[i],
+                      _central_diff(total_loss(m, x, y, w), m.weights, i))
         checked += 1
 
     # hinge, instances with any row near the kink resampled
     done = 0
     while done < 1000:
-        dim = int(rng.integers(1, 17))
-        m = M.HingeModel(weights=rng.standard_normal(dim + 1), l2=1e-3)
-        x, y, w = batch(dim)
-        if np.min(np.abs(m.margin - (2 * y - 1) * (x @ m.weights))) < 1e-3:
+        n_labels, dim = (1, 3)[done % 2], int(rng.integers(1, 17))
+        m = M.HingeModel(weights=rng.standard_normal((n_labels, dim + 1)),
+                         l2=1e-3)
+        x, y, w = batch(dim, n_labels)
+        scores = (x @ m.weights[:, :, None])[..., 0]
+        if np.min(np.abs(m.margin - (2 * y - 1) * scores)) < 1e-3:
             continue
-        (sub,) = m.gradient(x, y, w)
-        i = int(rng.integers(0, dim + 1))
-        assert _fd_ok(sub[i],
-                      _central_diff(lambda: m.loss(x, y, w), m.weights, i))
+        (sub,) = m.gradient(x, y, w, np.ones(n_labels))
+        i = int(rng.integers(0, m.weights.size))
+        assert _fd_ok(sub.flat[i],
+                      _central_diff(total_loss(m, x, y, w), m.weights, i))
         done += 1
         checked += 1
 
     # MoE over H in {1, 2, 4}
     for n in range(1000):
-        h = (1, 2, 4)[n % 3]
+        h, n_labels = (1, 2, 4)[n % 3], (1, 3)[n % 2]
         dim = int(rng.integers(1, 17))
-        m = M.MoEModel(gating=0.5 * rng.standard_normal((h, dim + 1)),
-                       experts=0.5 * rng.standard_normal((h, dim + 1)),
-                       l2=1e-3)
-        x, y, w = batch(dim)
-        d_gating, d_expert = m.gradient(x, y, w)
+        shape = (n_labels, h, dim + 1)
+        m = M.MoEModel(gating=0.5 * rng.standard_normal(shape),
+                       experts=0.5 * rng.standard_normal(shape), l2=1e-3)
+        x, y, w = batch(dim, n_labels)
+        d_gating, d_expert = m.gradient(x, y, w, np.ones(n_labels))
         i = int(rng.integers(0, m.gating.size))
-        loss = lambda: m.loss(x, y, w)
+        loss = total_loss(m, x, y, w)
         assert _fd_ok(d_gating.flat[i], _central_diff(loss, m.gating, i))
         assert _fd_ok(d_expert.flat[i], _central_diff(loss, m.experts, i))
         checked += 1
@@ -109,20 +120,21 @@ def test_criterion_2_moe_structural_identities():
     for _ in range(1000):
         h = int(rng.integers(1, 5))
         dim = int(rng.integers(1, 10))
-        m = M.MoEModel(gating=2.0 * rng.standard_normal((h, dim + 1)),
-                       experts=2.0 * rng.standard_normal((h, dim + 1)))
+        m = M.MoEModel(gating=2.0 * rng.standard_normal((1, h, dim + 1)),
+                       experts=2.0 * rng.standard_normal((1, h, dim + 1)))
         x = M.add_bias(rng.standard_normal(dim))
-        gate = M.moe_gating(m, x)
-        dummy = 1.0 / (1.0 + float(np.sum(np.exp(m.gating @ x))))
+        gate = M.moe_gating(m, x[None])
+        dummy = 1.0 / (1.0 + float(np.sum(np.exp(m.gating[0] @ x))))
         assert abs(float(gate.sum()) + dummy - 1.0) <= 1e-9
 
     for _ in range(1000):
         dim = int(rng.integers(1, 10))
-        m = M.MoEModel(gating=1.5 * rng.standard_normal((1, dim + 1)),
-                       experts=1.5 * rng.standard_normal((1, dim + 1)))
+        m = M.MoEModel(gating=1.5 * rng.standard_normal((1, 1, dim + 1)),
+                       experts=1.5 * rng.standard_normal((1, 1, dim + 1)))
         x = M.add_bias(rng.standard_normal(dim))
-        product = float(expit(m.gating[0] @ x) * expit(m.experts[0] @ x))
-        assert abs(float(M.moe_predict(m, x)) - product) <= 1e-12
+        product = float(expit(m.gating[0, 0] @ x)
+                        * expit(m.experts[0, 0] @ x))
+        assert abs(float(M.moe_predict(m, x[None])[0, 0]) - product) <= 1e-12
 
     print("[PASS] criterion 2: gating sums and H=1 product identity held "
           "on 1000 instances each")
@@ -362,7 +374,7 @@ def test_criterion_9_convexity_sanity():
         model = M.LogisticModel.zeros(dim, l2=1e-6)
         lr = 0.5 / n  # safe step: the logistic Hessian bound is n/4 per coord
 
-        w = np.ones(n)
+        x, y, w = x[None], y[None], np.ones((1, n))  # one label
         prev = model.loss(x, y, w)
         for _ in range(100):
             (grad,) = model.gradient(x, y, w)

@@ -141,3 +141,17 @@ def test_descriptor_file_rejects_truncation_and_trailing_bytes(tmp_path):
     with pytest.raises(ValueError, match="3 trailing bytes") as err:
         agg.read_descriptors(path)
     assert str(path) in str(err.value)
+
+
+def test_descriptor_file_rejects_non_utf8_ids(tmp_path):
+    path = tmp_path / "u.desc"
+    agg.write_descriptors(path, ["a", "b"], np.ones((2, 3)),
+                          (("mean", 0, 3),))
+    blob = path.read_bytes()
+    for needle, what in ((b"mean", "layout entry 0"), (b"\x01\x00b",
+                                                       "id of video 1")):
+        at = blob.index(needle) + (2 if needle.startswith(b"\x01") else 0)
+        path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        with pytest.raises(ValueError, match=what + " is not UTF-8") as err:
+            agg.read_descriptors(path)
+        assert str(path) in str(err.value)

@@ -434,3 +434,50 @@ def test_predict_rejects_damaged_inputs(encoded, bank, tmp_path, capsys,
         assert str(victim) in err
         assert ("truncated" if fault == "truncated" else "trailing") in err
     assert not (tmp_path / "p.txt").exists()
+
+
+def test_predict_rejects_bank_it_cannot_stack(corpus, encoded, bank,
+                                              tmp_path, capsys):
+    # model_0002.bin replaced by a logistic model, then by a MoE model
+    # with another expert count: predict exits 2 naming that file
+    from vidbase import models
+    mixed = _copy_dir(bank, tmp_path / "bank")
+    dim = int(dict(line.split("=", 1) for line in
+                   (bank / "index.txt").read_text().splitlines()
+                   if "=" in line)["feature_dim"])
+    for odd in (models.LogisticModel.zeros(dim),
+                models.MoEModel.zeros(dim, n_experts=3)):
+        (mixed / "model_0002.bin").write_bytes(models.serialize_model(odd))
+        capsys.readouterr()
+        assert run("predict", "--bank", str(mixed), "--descriptors",
+                   str(encoded), "--partition", "test",
+                   "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(mixed / "model_0002.bin") in err
+        assert str(mixed / "model_0000.bin") in err
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_evaluate_names_ground_truth_label_missing_from_predictions(
+        corpus, encoded, bank, tmp_path, capsys):
+    # every label-3 row removed: the file is consistent on its own, but
+    # scores only labels 0-2 while the ground truth holds label 3
+    preds = tmp_path / "preds.txt"
+    assert run("predict", "--bank", str(bank), "--descriptors", str(encoded),
+               "--partition", "test", "--out", str(preds)) == cli.EXIT_OK
+    lines = [l for l in preds.read_text().splitlines()
+             if l.split()[1] != "3"]
+    preds.write_text("\n".join(lines) + "\n")
+    truths = cli._read_labels(encoded / "test.labels")
+    first = next(vid for vid in (l.split()[0] for l in lines)
+                 if 3 in truths[vid])
+    for command in ("evaluate", "oracle"):
+        argv = [command, "--predictions", str(preds),
+                "--descriptors", str(encoded), "--partition", "test"]
+        if command == "evaluate":
+            argv += ["--out", str(tmp_path / "r.txt")]
+        capsys.readouterr()
+        assert run(*argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(preds) in err and "label 3 of video %s " % first in err
+    assert not (tmp_path / "r.txt").exists()

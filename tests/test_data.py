@@ -74,6 +74,20 @@ def test_truncated_file(tmp_path):
         assert str(path) in str(err.value)
 
 
+def test_non_utf8_video_id_rejected(tmp_path):
+    path = tmp_path / "u.features"
+    data.write_features(make_partition([("v0", [[1.0, 2.0]], (0,)),
+                                        ("v1", [[3.0, 4.0]], (1,))]), path)
+    blob = bytearray(path.read_bytes())
+    second = 24 + 2 + 2 + 6 + 4 + 8 + 2  # v0's record, v1's id length
+    blob[second] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(data.DataFormatError,
+                       match="id of video 1 is not UTF-8") as err:
+        data.read_features(path)
+    assert str(path) in str(err.value)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "t.features"
     data.write_features(make_partition([("v0", [[1.0, 2.0]], (0,))]), path)

@@ -9,20 +9,27 @@ from vidbase import models as M
 FD_STEP = 1e-5
 
 
-def random_moe(rng, n_experts, dim, scale=0.5, l2=M.DEFAULT_L2):
-    return M.MoEModel(gating=scale * rng.standard_normal((n_experts, dim + 1)),
-                      experts=scale * rng.standard_normal((n_experts, dim + 1)),
-                      l2=l2)
+def random_moe(rng, n_experts, dim, scale=0.5, l2=M.DEFAULT_L2, n_labels=1):
+    shape = (n_labels, n_experts, dim + 1)
+    return M.MoEModel(gating=scale * rng.standard_normal(shape),
+                      experts=scale * rng.standard_normal(shape), l2=l2)
 
 
 def one(x, g):
-    """A single example as a batch of one with unit weight."""
-    return np.atleast_2d(x), np.array([float(g)]), np.ones(1)
+    """A single example as one label's batch of one with unit weight."""
+    return np.reshape(x, (1, 1, -1)), np.array([[float(g)]]), np.ones((1, 1))
 
 
-def random_batch(rng, dim, n):
-    return (M.add_bias(rng.standard_normal((n, dim))),
-            rng.integers(0, 2, size=n).astype(float), 0.5 + rng.random(n))
+def row(x):
+    """A (D+1,) vector as a (1, D+1) matrix to predict on."""
+    return np.reshape(x, (1, -1))
+
+
+def random_batch(rng, dim, n, n_labels=1):
+    return (M.add_bias(rng.standard_normal((n_labels * n, dim)))
+            .reshape(n_labels, n, dim + 1),
+            rng.integers(0, 2, size=(n_labels, n)).astype(float),
+            0.5 + rng.random((n_labels, n)))
 
 
 def central_diff(f, arr, i, step=FD_STEP):
@@ -44,18 +51,19 @@ def assert_close(analytic, numeric, rel=1e-6, abs_floor=1e-8):
 
 def test_moe_all_zeros():
     m = M.MoEModel.zeros(3, n_experts=1)
-    x = M.add_bias(np.zeros(3))
-    assert M.moe_predict(m, x) == pytest.approx(0.25, abs=1e-12)
+    x = M.add_bias(np.zeros((1, 3)))
+    assert M.moe_predict(m, x).shape == (1, 1)
+    assert M.moe_predict(m, x)[0, 0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_moe_gating_saturation():
     m = M.MoEModel.zeros(1, n_experts=1)
-    m.gating[0] = [0.0, 50.0]  # w.x = 50 via the bias feature
-    m.experts[0] = [1.0, 0.3]
+    m.gating[0, 0] = [0.0, 50.0]  # w.x = 50 via the bias feature
+    m.experts[0, 0] = [1.0, 0.3]
     x = M.add_bias(np.array([0.7]))
     from scipy.special import expit
-    assert M.moe_predict(m, x) == pytest.approx(
-        float(expit(m.experts[0] @ x)), abs=1e-12)
+    assert M.moe_predict(m, row(x))[0, 0] == pytest.approx(
+        float(expit(m.experts[0, 0] @ x)), abs=1e-12)
 
 
 def test_moe_matches_high_precision_formula():
@@ -65,11 +73,11 @@ def test_moe_matches_high_precision_formula():
     for _ in range(20):
         m = random_moe(rng, 3, 4)
         x = M.add_bias(rng.standard_normal(4))
-        acts = [float(w @ x) for w in m.gating]
+        acts = [float(w @ x) for w in m.gating[0]]
         denom = 1 + sum(mexp(a) for a in acts)
         p_ref = sum((mexp(a) / denom) * (1 / (1 + mexp(-float(u @ x))))
-                    for a, u in zip(acts, m.experts))
-        assert abs(M.moe_predict(m, x) - float(p_ref)) < 1e-12
+                    for a, u in zip(acts, m.experts[0]))
+        assert abs(M.moe_predict(m, row(x))[0, 0] - float(p_ref)) < 1e-12
 
 
 def test_moe_gating_sums_to_one_with_dummy():
@@ -77,10 +85,11 @@ def test_moe_gating_sums_to_one_with_dummy():
     for _ in range(100):
         m = random_moe(rng, 4, 5, scale=2.0)
         x = M.add_bias(rng.standard_normal(5))
-        gate = M.moe_gating(m, x)
-        dummy = 1.0 / (1.0 + np.sum(np.exp(m.gating @ x)))
+        gate = M.moe_gating(m, row(x))
+        assert gate.shape == (1, 1, 4)
+        dummy = 1.0 / (1.0 + np.sum(np.exp(m.gating[0] @ x)))
         assert abs(gate.sum() + dummy - 1.0) <= 1e-9
-        assert M.moe_predict(m, x) < 1.0
+        assert M.moe_predict(m, row(x))[0, 0] < 1.0
 
 
 def test_moe_h1_product_of_logistics():
@@ -89,15 +98,15 @@ def test_moe_h1_product_of_logistics():
     for _ in range(100):
         m = random_moe(rng, 1, 6, scale=1.5)
         x = M.add_bias(rng.standard_normal(6))
-        product = float(expit(m.gating[0] @ x) * expit(m.experts[0] @ x))
-        assert abs(M.moe_predict(m, x) - product) <= 1e-12
+        product = float(expit(m.gating[0, 0] @ x) * expit(m.experts[0, 0] @ x))
+        assert abs(M.moe_predict(m, row(x))[0, 0] - product) <= 1e-12
 
 
 def test_moe_gradient_zero_when_p_equals_g():
     rng = np.random.default_rng(3)
     m = random_moe(rng, 2, 3, l2=0.0)
     x = M.add_bias(rng.standard_normal(3))
-    g = float(M.moe_predict(m, x))
+    g = float(M.moe_predict(m, row(x))[0, 0])
     d_gating, d_expert = m.gradient(*one(x, g))
     assert np.allclose(d_gating, 0.0, atol=1e-15)
     assert np.allclose(d_expert, 0.0, atol=1e-15)
@@ -107,8 +116,9 @@ def test_moe_hand_gradient():
     m = M.MoEModel.zeros(1, n_experts=1)
     x = np.array([1.0, 1.0])  # bias included
     d_gating, d_expert = m.gradient(*one(x, 1.0))
-    assert np.allclose(d_gating, -0.5 * x.reshape(1, -1), atol=1e-12)
-    assert np.allclose(d_expert, -0.5 * x.reshape(1, -1), atol=1e-12)
+    assert d_gating.shape == d_expert.shape == (1, 1, 2)
+    assert np.allclose(d_gating, -0.5 * x, atol=1e-12)
+    assert np.allclose(d_expert, -0.5 * x, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_experts", [1, 2, 4])
@@ -118,7 +128,7 @@ def test_moe_gradients_finite_difference(n_experts):
         dim = int(rng.integers(1, 8))
         m = random_moe(rng, n_experts, dim, l2=1e-3)
         x, y, w = random_batch(rng, dim, int(rng.integers(1, 5)))
-        loss = lambda: m.loss(x, y, w)
+        loss = lambda: float(m.loss(x, y, w)[0])
         for param, grad in zip((m.gating, m.experts), m.gradient(x, y, w)):
             for i in range(param.size):
                 assert_close(grad.flat[i], central_diff(loss, param, i))
@@ -147,13 +157,15 @@ def test_batch_gradients_match_sum(kind):
     carrying 1/N of the regularizer."""
     rng = np.random.default_rng(4)
     dim, n = 3, 6
-    m = {"logistic": M.LogisticModel(weights=rng.standard_normal(dim + 1),
+    m = {"logistic": M.LogisticModel(weights=rng.standard_normal((1, dim + 1)),
                                      l2=1e-2),
-         "hinge": M.HingeModel(weights=rng.standard_normal(dim + 1), l2=1e-2),
+         "hinge": M.HingeModel(weights=rng.standard_normal((1, dim + 1)),
+                               l2=1e-2),
          "moe": random_moe(rng, 2, dim, l2=1e-2)}[kind]
     xb, yb, wb = random_batch(rng, dim, n)
     batch = m.gradient(xb, yb, wb)
-    rows = [m.gradient(xb[i:i + 1], yb[i:i + 1], wb[i:i + 1], 1.0 / n)
+    rows = [m.gradient(xb[:, i:i + 1], yb[:, i:i + 1], wb[:, i:i + 1],
+                       np.array([1.0 / n]))
             for i in range(n)]
     assert len(batch) == len(m.params)
     for k, block in enumerate(batch):
@@ -162,17 +174,91 @@ def test_batch_gradients_match_sum(kind):
                                    rtol=0.0, atol=1e-12)
 
 
+def random_stack(kind, rng, n_labels, dim, l2=1e-2):
+    shape = (n_labels, dim + 1)
+    if kind == "logistic":
+        return M.LogisticModel(weights=rng.standard_normal(shape), l2=l2)
+    if kind == "hinge":
+        return M.HingeModel(weights=rng.standard_normal(shape), margin=0.7,
+                            l2=l2)
+    return random_moe(rng, 3, dim, scale=1.0, l2=l2, n_labels=n_labels)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "hinge", "moe"])
+def test_stacked_model_equals_its_labels(kind):
+    """Loss and gradient of a stack of labels are the labels' own, bit for
+    bit, with each label's reg_scale; predict on a shared matrix gives one
+    column per label."""
+    rng = np.random.default_rng(14)
+    dim, n_labels = 6, 4
+    m = random_stack(kind, rng, n_labels, dim)
+    for n in (1, 5, 32):
+        x, y, w = random_batch(rng, dim, n, n_labels=n_labels)
+        w[1, n // 2:] = 0.0     # zero-weight rows, as a trainer's padding
+        reg_scale = rng.random(n_labels)
+        loss, grads = m.loss(x, y, w), m.gradient(x, y, w, reg_scale)
+        shared = M.add_bias(rng.standard_normal((n, dim)))
+        scores = M.predict(m, shared)
+        assert loss.shape == (n_labels,) and scores.shape == (n, n_labels)
+        for k in range(n_labels):
+            one_label = m.label(k)
+            assert one_label.n_labels == 1
+            sl = slice(k, k + 1)
+            assert np.array_equal(
+                one_label.loss(x[sl], y[sl], w[sl]), loss[sl])
+            for got, want in zip(
+                    grads, one_label.gradient(x[sl], y[sl], w[sl],
+                                              reg_scale[sl])):
+                assert np.array_equal(got[sl], want)
+            np.testing.assert_allclose(scores[:, k],
+                                       M.predict(one_label, shared)[:, 0],
+                                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "hinge", "moe"])
+def test_stack_models_round_trips_labels(kind):
+    rng = np.random.default_rng(15)
+    m = random_stack(kind, rng, 3, 4)
+    labels = [m.label(k) for k in range(3)]
+    back = M.stack_models(labels, names=["a", "b", "c"])
+    assert back.n_labels == 3
+    for (got, _), (want, _) in zip(back.params, m.params):
+        assert np.array_equal(got, want)
+    # label() copies: updating the copy leaves the stack alone
+    labels[0].params[0][0][...] = 0.0
+    assert np.array_equal(back.params[0][0], m.params[0][0])
+
+
+def test_stack_models_names_first_mismatch():
+    logistic = M.LogisticModel.zeros(4)
+    with pytest.raises(M.ModelFormatError, match="^b: .* differs from a"):
+        M.stack_models([logistic, M.HingeModel.zeros(4), logistic],
+                       names=["a", "b", "c"])
+    with pytest.raises(M.ModelFormatError, match="^c: "):
+        M.stack_models([logistic, logistic, M.LogisticModel.zeros(5)],
+                       names=["a", "b", "c"])
+    moe = M.MoEModel.zeros(4, n_experts=2)
+    with pytest.raises(M.ModelFormatError, match="^b: "):
+        M.stack_models([moe, M.MoEModel.zeros(4, n_experts=3)],
+                       names=["a", "b"])
+
+
+def test_serialize_rejects_a_stack():
+    with pytest.raises(ValueError, match="one label"):
+        M.serialize_model(M.LogisticModel.zeros(4, n_labels=2))
+
+
 # ------------------------------------------------------------- logistic
 
 def test_logistic_zero_weights():
     m = M.LogisticModel.zeros(4)
-    assert M.logistic_predict(m, M.add_bias(np.ones(4))) == 0.5
+    assert M.logistic_predict(m, M.add_bias(np.ones((1, 4)))) == 0.5
 
 
 def test_logistic_no_underflow():
-    m = M.LogisticModel(weights=np.array([-710.0, 0.0]))
-    p = M.logistic_predict(m, np.array([1.0, 1.0]))
-    assert p > 0.0
+    m = M.LogisticModel(weights=np.array([[-710.0, 0.0]]))
+    p = M.logistic_predict(m, np.array([[1.0, 1.0]]))
+    assert p[0, 0] > 0.0
 
 
 def test_logistic_high_precision():
@@ -180,10 +266,10 @@ def test_logistic_high_precision():
     mp.dps = 50
     rng = np.random.default_rng(5)
     for _ in range(50):
-        m = M.LogisticModel(weights=rng.standard_normal(5))
+        m = M.LogisticModel(weights=rng.standard_normal((1, 5)))
         x = M.add_bias(rng.standard_normal(4))
-        ref = float(1 / (1 + mexp(-float(m.weights @ x))))
-        assert abs(M.logistic_predict(m, x) - ref) < 1e-12
+        ref = float(1 / (1 + mexp(-float(m.weights[0] @ x))))
+        assert abs(M.logistic_predict(m, row(x))[0, 0] - ref) < 1e-12
 
 
 def test_logistic_gradient_at_zero():
@@ -195,54 +281,56 @@ def test_logistic_gradient_at_zero():
 
 def test_logistic_gradient_sign():
     rng = np.random.default_rng(6)
-    m = M.LogisticModel(weights=rng.standard_normal(3), l2=0.0)
+    m = M.LogisticModel(weights=rng.standard_normal((1, 3)), l2=0.0)
     x = M.add_bias(np.array([2.0, -1.0]))
     (up,) = m.gradient(*one(x, 1.0))
     (down,) = m.gradient(*one(x, 0.0))
     # moving against the gradient raises w.x for g=1, lowers it for g=0
-    assert -up @ x > 0
-    assert -down @ x < 0
+    assert -up[0] @ x > 0
+    assert -down[0] @ x < 0
 
 
 def test_logistic_gradient_finite_difference():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        m = M.LogisticModel(weights=rng.standard_normal(6), l2=1e-3)
+        m = M.LogisticModel(weights=rng.standard_normal((1, 6)), l2=1e-3)
         x, y, w = random_batch(rng, 5, int(rng.integers(1, 5)))
         (grad,) = m.gradient(x, y, w)
-        for i in range(len(m.weights)):
-            assert_close(grad[i],
-                         central_diff(lambda: m.loss(x, y, w), m.weights, i))
+        for i in range(m.weights.size):
+            assert_close(grad.flat[i],
+                         central_diff(lambda: float(m.loss(x, y, w)[0]),
+                                      m.weights, i))
 
 
 def test_logistic_loss_is_log_loss_of_prediction():
     rng = np.random.default_rng(13)
     for _ in range(50):
-        m = M.LogisticModel(weights=rng.standard_normal(6), l2=1e-3)
+        m = M.LogisticModel(weights=rng.standard_normal((1, 6)), l2=1e-3)
         x, y, w = random_batch(rng, 5, 8)
-        ref = (float(w @ M.log_loss(M.logistic_predict(m, x), y))
-               + m.l2 * float(np.sum(m.weights[:-1] ** 2)))
-        assert m.loss(x, y, w) == pytest.approx(ref, rel=1e-12)
+        ref = (float(w[0] @ M.log_loss(M.logistic_predict(m, x[0])[:, 0],
+                                       y[0]))
+               + m.l2 * float(np.sum(m.weights[0, :-1] ** 2)))
+        assert m.loss(x, y, w)[0] == pytest.approx(ref, rel=1e-12)
     # far past the probability clamp the loss and gradient stay exact
-    m = M.LogisticModel(weights=np.array([-800.0, 0.0]), l2=0.0)
+    m = M.LogisticModel(weights=np.array([[-800.0, 0.0]]), l2=0.0)
     x, y, w = one(np.array([1.0, 1.0]), 1.0)
-    assert m.loss(x, y, w) == 800.0
+    assert m.loss(x, y, w)[0] == 800.0
     assert np.array_equal(m.gradient(x, y, w)[0], -x[0])
 
 
 # ---------------------------------------------------------------- hinge
 
 def test_hinge_direct_formula():
-    m = M.HingeModel(weights=np.array([0.5, 0.0]), l2=0.0)
+    m = M.HingeModel(weights=np.array([[0.5, 0.0]]), l2=0.0)
     x = np.array([1.0, 1.0])
-    assert m.loss(*one(x, 1.0)) == pytest.approx(0.5)
-    assert np.array_equal(m.gradient(*one(x, 1.0))[0], -x)
+    assert m.loss(*one(x, 1.0))[0] == pytest.approx(0.5)
+    assert np.array_equal(m.gradient(*one(x, 1.0))[0], -row(x))
 
 
 def test_hinge_margin_satisfied():
-    m = M.HingeModel(weights=np.array([2.0, 0.0]), l2=0.0)
+    m = M.HingeModel(weights=np.array([[2.0, 0.0]]), l2=0.0)
     x = np.array([1.0, 1.0])
-    assert m.loss(*one(x, 1.0)) == 0.0
+    assert m.loss(*one(x, 1.0))[0] == 0.0
     assert np.all(m.gradient(*one(x, 1.0))[0] == 0.0)
 
 
@@ -250,36 +338,38 @@ def test_hinge_subgradient_finite_difference():
     rng = np.random.default_rng(8)
     checked = 0
     while checked < 50:
-        m = M.HingeModel(weights=rng.standard_normal(4), l2=1e-3)
+        m = M.HingeModel(weights=rng.standard_normal((1, 4)), l2=1e-3)
         x, y, w = random_batch(rng, 3, int(rng.integers(1, 5)))
         s = 2 * y - 1
-        if np.min(np.abs(m.margin - s * (x @ m.weights))) < 1e-3:
+        if np.min(np.abs(m.margin - s * (x[0] @ m.weights[0]))) < 1e-3:
             continue  # stay away from the kink
         (sub,) = m.gradient(x, y, w)
-        for i in range(len(m.weights)):
-            assert_close(sub[i],
-                         central_diff(lambda: m.loss(x, y, w), m.weights, i))
+        for i in range(m.weights.size):
+            assert_close(sub.flat[i],
+                         central_diff(lambda: float(m.loss(x, y, w)[0]),
+                                      m.weights, i))
         checked += 1
 
 
 def test_hinge_invalid_margin():
     with pytest.raises(ValueError):
-        M.HingeModel(weights=np.zeros(2), margin=0.0)
+        M.HingeModel(weights=np.zeros((1, 2)), margin=0.0)
 
 
 # ---------------------------------------------------------- serialization
 
 def random_models(rng):
     dim = int(rng.integers(1, 10))
-    logistic = M.LogisticModel(weights=rng.standard_normal(dim + 1),
-                               l2=1e-4, grad_sq=rng.random(dim + 1))
-    hinge = M.HingeModel(weights=rng.standard_normal(dim + 1), margin=1.5,
-                         l2=1e-5, grad_sq=rng.random(dim + 1))
-    h = int(rng.integers(1, 5))
-    moe = M.MoEModel(gating=rng.standard_normal((h, dim + 1)),
-                     experts=rng.standard_normal((h, dim + 1)), l2=2e-6,
-                     gating_grad_sq=rng.random((h, dim + 1)),
-                     expert_grad_sq=rng.random((h, dim + 1)))
+    logistic = M.LogisticModel(weights=rng.standard_normal((1, dim + 1)),
+                               l2=1e-4, grad_sq=rng.random((1, dim + 1)))
+    hinge = M.HingeModel(weights=rng.standard_normal((1, dim + 1)),
+                         margin=1.5, l2=1e-5,
+                         grad_sq=rng.random((1, dim + 1)))
+    shape = (1, int(rng.integers(1, 5)), dim + 1)
+    moe = M.MoEModel(gating=rng.standard_normal(shape),
+                     experts=rng.standard_normal(shape), l2=2e-6,
+                     gating_grad_sq=rng.random(shape),
+                     expert_grad_sq=rng.random(shape))
     return [logistic, hinge, moe]
 
 
@@ -305,8 +395,8 @@ def test_serialization_roundtrip_identity():
 def test_serialization_prediction_invariance():
     rng = np.random.default_rng(10)
     x = M.add_bias(rng.standard_normal((20, 4)))
-    m = M.MoEModel(gating=rng.standard_normal((2, 5)),
-                   experts=rng.standard_normal((2, 5)))
+    m = M.MoEModel(gating=rng.standard_normal((1, 2, 5)),
+                   experts=rng.standard_normal((1, 2, 5)))
     back = M.deserialize_model(M.serialize_model(m))
     assert np.array_equal(M.moe_predict(m, x), M.moe_predict(back, x))
 
