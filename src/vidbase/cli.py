@@ -333,7 +333,7 @@ def cmd_train(args):
         n_experts=args.mixtures,
         hinge_margin=args.hinge_margin,
     )
-    results = trainer.train_all(vocab, x, y, cfg)
+    results = trainer.train_all(vocab, x, y, cfg, workers=args.workers)
 
     os.makedirs(args.out, exist_ok=True)
     chash = _config_hash(args)
@@ -432,8 +432,9 @@ def cmd_evaluate(args):
     pset = metrics.read_predictions(args.predictions, truths_by_video=truths)
     n_labels = max((max(g, default=-1) for g in truths.values()), default=-1) + 1
     if n_labels > pset.n_labels:
-        raise UsageError("prediction file covers %d labels but ground truth "
-                         "has %d" % (pset.n_labels, n_labels))
+        raise ValueError("%s: prediction file covers %d labels but ground "
+                         "truth has %d" % (args.predictions, pset.n_labels,
+                                           n_labels))
     ks = tuple(int(k) for k in args.hit_k.split(","))
     report = metrics.evaluate(pset, hit_ks=ks)
     pairs = [("config_hash", _config_hash(args)),
@@ -519,9 +520,9 @@ def build_parser():
     p.add_argument("--frames-per-video", type=int, default=20)
     p.add_argument("--hinge-margin", type=float, default=1.0)
     p.add_argument("--no-l2-normalize", dest="l2_normalize", action="store_false")
-    # a thread per label gained nothing under the GIL: checked, then ignored
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
+                   help="threads that train blocks of labels; the bank is "
+                        "the same for every value")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

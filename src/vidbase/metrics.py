@@ -208,6 +208,9 @@ def read_predictions(path, truths_by_video=None):
                 n_labels = e + 1
     order = list(rows)
     truths = [frozenset()] * len(order)
+    if truths_by_video and not rows:
+        raise ValueError("%s: no prediction rows for a partition of %d "
+                         "videos" % (path, len(truths_by_video)))
     if truths_by_video is not None:
         for vid in order + list(truths_by_video):
             found = len(rows.get(vid, ()))

@@ -1,10 +1,11 @@
 """Online per-label training: capped sampling with distribution-preserving
 reweighting, Adagrad updates through each model's own loss and gradient
-for a block of labels in lockstep, frame-level label assignment, and
-inference on a whole partition with one stacked predict, average-pooled
-over each video's frames at frame level."""
+for a block of labels in lockstep, blocks spread over worker threads,
+frame-level label assignment, and inference on a whole partition with one
+stacked predict, average-pooled over each video's frames at frame level."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,12 +186,20 @@ class _BlockSample:
                    np.array([[w] for _, w, _ in samples]),
                    np.array([[w] for _, _, w in samples]))
 
-    def loss(self, model, x, lane):
-        """Label `lane`'s loss on its whole sample, in training order."""
+    def loss(self, model, x, y, lane):
+        """Label `lane`'s loss on its whole sample, summed over its rows in
+        partition order; `y` is the label's target column. A sample of
+        every row (no cap binds) is scored on x itself, without a copy."""
         size = self.sizes[lane]
-        rows, ys = self.order[lane, :size], self.targets[lane, :size]
+        if size == len(x):
+            xs, ys = x, y > 0.5
+        else:
+            mask = np.zeros(len(x), dtype=bool)
+            mask[self.order[lane, :size]] = True
+            rows = np.flatnonzero(mask)
+            xs, ys = x[rows], y[rows] > 0.5
         wts = np.where(ys, self.w_plus[lane], self.w_minus[lane])
-        return float(model.label(lane).loss(x[rows][None], ys[None],
+        return float(model.label(lane).loss(xs[None], ys[None],
                                             wts[None])[0])
 
 
@@ -246,9 +255,9 @@ def train_label(model, x, y, cfg, label_ids):
     traces = [[] for _ in label_ids]
 
     def record_losses(sample):
-        for lane, trace in enumerate(traces):
+        for lane, (label_id, trace) in enumerate(zip(label_ids, traces)):
             if np.all(np.isfinite(trace[1:])):
-                trace.append(sample.loss(model, x, lane))
+                trace.append(sample.loss(model, x, y[:, label_id], lane))
 
     for it in range(cfg.iterations):
         sample = _BlockSample.draw(label_ids, y, cfg, it)
@@ -259,13 +268,15 @@ def train_label(model, x, y, cfg, label_ids):
     return model, traces
 
 
-def train_all(vocab, x, y_matrix, cfg):
-    """Train one model per label. Labels with both classes are trained in
-    blocks of at most BLOCK_ELEMENTS // (batch size * (D+1)) labels, each
-    block in lockstep (see train_label); each label's RNG streams are
-    derived from (cfg.seed, label_id) only, so its model does not depend on
-    the block. Labels without both classes, or whose loss diverges, are
-    skipped and reported, not fatal."""
+def train_all(vocab, x, y_matrix, cfg, workers=1):
+    """Train one model per label. Labels with both classes are split into
+    contiguous, near-equal blocks of at most BLOCK_ELEMENTS // (batch size
+    * (D+1)) labels, each trained in lockstep (see train_label); when there
+    is more than one block, their count is rounded up to a multiple of
+    `workers`, and the blocks run on that many threads. Each label's RNG
+    streams are derived from (cfg.seed, label_id) only, so its model does
+    not depend on the block or on `workers`. Labels without both classes,
+    or whose loss diverges, are skipped and reported, not fatal."""
     x = np.asarray(x, dtype=np.float64)
     dim = x.shape[1] - 1
     results, trainable = {}, []
@@ -278,11 +289,24 @@ def train_all(vocab, x, y_matrix, cfg):
         else:
             trainable.append(label_id)
 
-    block = max(1, BLOCK_ELEMENTS // (cfg.batch_size * (dim + 1)))
-    for start in range(0, len(trainable), block):
-        label_ids = trainable[start:start + block]
-        model, traces = train_label(_make_model(dim, len(label_ids), cfg),
-                                    x, y_matrix, cfg, label_ids)
+    block_max = max(1, BLOCK_ELEMENTS // (cfg.batch_size * (dim + 1)))
+    n_blocks = math.ceil(len(trainable) / block_max)
+    if n_blocks > 1:
+        n_blocks = min(len(trainable), math.ceil(n_blocks / workers) * workers)
+    blocks = ([b.tolist() for b in np.array_split(trainable, n_blocks)]
+              if trainable else [])
+
+    def train_block(label_ids):
+        return train_label(_make_model(dim, len(label_ids), cfg), x, y_matrix,
+                           cfg, label_ids)
+
+    threads = min(workers, len(blocks))
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            trained = list(pool.map(train_block, blocks))
+    else:
+        trained = map(train_block, blocks)
+    for label_ids, (model, traces) in zip(blocks, trained):
         for lane, (label_id, trace) in enumerate(zip(label_ids, traces)):
             if np.all(np.isfinite(trace[1:])):
                 results[label_id] = LabelResult(label_id, model.label(lane),

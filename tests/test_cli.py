@@ -298,7 +298,7 @@ def test_exit_codes():
     assert run("train", "--out", "/tmp/vidbase-nope2", "--level", "frame",
                "--vocab-dir", "/does/not/exist") in (cli.EXIT_USAGE,
                                                      cli.EXIT_DATA)
-    # --workers has no effect but must still be >= 1 -> data error
+    # --workers must be >= 1 -> data error
     assert run("train", "--out", "/tmp/vidbase-nope3",
                "--workers", "0") == cli.EXIT_DATA
 
@@ -456,6 +456,24 @@ def test_predict_rejects_bank_it_cannot_stack(corpus, encoded, bank,
         assert str(mixed / "model_0002.bin") in err
         assert str(mixed / "model_0000.bin") in err
     assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "oracle"])
+@pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank"])
+def test_predictions_without_rows_name_the_file(encoded, tmp_path, capsys,
+                                                command, content):
+    # a partial file is rejected per video (see above); a file with no
+    # rows at all scores no label, and must not read as a complete one
+    preds = tmp_path / "preds.txt"
+    preds.write_text(content)
+    argv = [command, "--predictions", str(preds),
+            "--descriptors", str(encoded), "--partition", "test"]
+    if command == "evaluate":
+        argv += ["--out", str(tmp_path / "r.txt")]
+    capsys.readouterr()
+    assert run(*argv) == cli.EXIT_DATA
+    assert str(preds) in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_evaluate_names_ground_truth_label_missing_from_predictions(

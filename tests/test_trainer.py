@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -258,9 +259,11 @@ def test_train_all_deterministic_rerun(kind):
 
 # ------------------------------------------------- lockstep equivalence
 
-def _train_label_reference(model, x, y, cfg, label_id):
+def _train_label_reference(model, x, y, cfg, label_id, trace_order=False):
     """Test-only reference: one label trained on its own, one mini-batch
-    after another, as the trainer did before labels ran in lockstep.
+    after another, as the trainer did before labels ran in lockstep. Each
+    loss-trace entry sums over the label's sample in partition order, or,
+    with `trace_order`, in training order as the trainer did before.
     Stops after the first non-finite loss, which ends the trace."""
     trace = []
     for it in range(cfg.iterations):
@@ -273,18 +276,21 @@ def _train_label_reference(model, x, y, cfg, label_id):
         rng = np.random.default_rng(np.random.SeedSequence(
             [cfg.seed & 0xFFFFFFFF, int(label_id), it, 0x5F]))
         order = rng.permutation(len(idx))
+        traced = order if trace_order else np.argsort(idx)
+        xt, yt, wt = (x[idx[traced]][None], y[idx[traced]][None],
+                      wts[traced][None])
         idx, wts = idx[order], wts[order]
         xs, ys, wts = x[idx][None], y[idx][None], wts[None]
 
         if it == 0:
-            trace.append(float(model.loss(xs, ys, wts)[0]))
+            trace.append(float(model.loss(xt, yt, wt)[0]))
         n = len(idx)
         for start in range(0, n, cfg.batch_size):
             stop = min(start + cfg.batch_size, n)
             tr._batch_update(model, xs[:, start:stop], ys[:, start:stop],
                              wts[:, start:stop],
                              np.array([(stop - start) / n]), cfg)
-        trace.append(float(model.loss(xs, ys, wts)[0]))
+        trace.append(float(model.loss(xt, yt, wt)[0]))
         if not np.isfinite(trace[-1]):
             break
     return model, trace
@@ -352,6 +358,17 @@ def test_lockstep_matches_per_label_reference(case):
         assert len(sizes) > 2     # the sample sizes really differ
 
 
+def _count_train_label_calls(monkeypatch):
+    calls, real_train_label = [], tr.train_label
+
+    def counting_train_label(*args):
+        calls.append(args[4])
+        return real_train_label(*args)
+
+    monkeypatch.setattr(tr, "train_label", counting_train_label)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["logistic", "moe"])
 def test_lockstep_blocks_match_reference(kind, monkeypatch):
     """A block limit low enough to split the labels into blocks of two
@@ -360,14 +377,8 @@ def test_lockstep_blocks_match_reference(kind, monkeypatch):
     cfg = tr.TrainerConfig(model_kind=kind, batch_size=7, sample_cap=40,
                            iterations=2, seed=6)
     whole = tr.train_all(data.LabelVocabulary.trivial(y.shape[1]), x, y, cfg)
-    calls, real_train_label = [], tr.train_label
-
-    def counting_train_label(*args):
-        calls.append(args[4])
-        return real_train_label(*args)
-
     monkeypatch.setattr(tr, "BLOCK_ELEMENTS", 2 * 7 * x.shape[1])
-    monkeypatch.setattr(tr, "train_label", counting_train_label)
+    calls = _count_train_label_calls(monkeypatch)
     split = tr.train_all(data.LabelVocabulary.trivial(y.shape[1]), x, y, cfg)
     assert calls == [[0, 1], [2, 4], [5]]
     for label_id, res in split.items():
@@ -376,6 +387,70 @@ def test_lockstep_blocks_match_reference(kind, monkeypatch):
             _assert_same_label(res.model, res.loss_trace,
                                whole[label_id].model,
                                whole[label_id].loss_trace)
+
+
+@pytest.mark.parametrize("case", ["logistic-b32", "hinge-cap-b32",
+                                  "moe-b1", "moe-cap-b7"])
+def test_partition_order_trace_matches_training_order(case):
+    """Each loss-trace entry sums over the label's sample in partition
+    order; it equals the sum in training order up to rounding."""
+    x, y = _lockstep_problem()
+    cfg = tr.TrainerConfig(iterations=3, seed=5, learning_rate=0.3,
+                           **LOCKSTEP_CASES[case])
+    for label_id in (0, 1, 5):
+        runs = [_train_label_reference(tr._make_model(x.shape[1] - 1, 1, cfg),
+                                       x, y[:, label_id], cfg, label_id,
+                                       trace_order=trace_order)
+                for trace_order in (False, True)]
+        (model, trace), (want_model, want_trace) = runs
+        assert len(trace) == cfg.iterations + 1
+        assert M.serialize_model(model) == M.serialize_model(want_model)
+        assert np.allclose(trace, want_trace, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "hinge", "moe"])
+def test_train_all_workers_give_identical_banks(kind, monkeypatch):
+    """Blocks trained on 1, 2, 3 or 8 threads give byte-identical models
+    and equal loss traces; with more than one block, the block count is
+    rounded up to a multiple of the worker count, but not past one label
+    per block."""
+    x, y = _lockstep_problem()
+    vocab = data.LabelVocabulary.trivial(y.shape[1])
+    cfg = tr.TrainerConfig(model_kind=kind, batch_size=7, sample_cap=40,
+                           iterations=2, seed=9)
+    monkeypatch.setattr(tr, "BLOCK_ELEMENTS", 2 * 7 * x.shape[1])
+    calls = _count_train_label_calls(monkeypatch)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as possible
+    try:
+        for workers in (1, 2, 3, 8):
+            del calls[:]
+            runs[workers] = tr.train_all(vocab, x, y, cfg, workers=workers)
+            assert len(calls) == {1: 3, 2: 4, 3: 3, 8: 5}[workers]
+            assert sorted(sum(calls, [])) == [0, 1, 2, 4, 5]
+    finally:
+        sys.setswitchinterval(interval)
+    for workers in (2, 3, 8):
+        for label_id, res in runs[workers].items():
+            want = runs[1][label_id]
+            assert res.skipped == want.skipped
+            assert res.loss_trace == want.loss_trace
+            if not res.skipped:
+                assert (M.serialize_model(res.model)
+                        == M.serialize_model(want.model))
+
+
+def test_train_all_single_block_ignores_workers(monkeypatch):
+    """Labels that fit in one block are trained in one train_label call,
+    whatever the worker count."""
+    x, y = _lockstep_problem()
+    cfg = tr.TrainerConfig(model_kind="logistic", batch_size=7,
+                           iterations=1, seed=9)
+    calls = _count_train_label_calls(monkeypatch)
+    tr.train_all(data.LabelVocabulary.trivial(y.shape[1]), x, y, cfg,
+                 workers=8)
+    assert calls == [[0, 1, 2, 4, 5]]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
