@@ -89,16 +89,24 @@ def _write_labels(path, partition):
 
 
 def _read_labels(path):
+    """{video id: frozenset of label ids}; a label id that is not an
+    integer or a video listed twice is a data error naming file and line."""
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
             vid = parts[0]
-            labs = frozenset(int(x) for x in parts[1].split(",")) \
-                if len(parts) > 1 and parts[1] else frozenset()
-            out[vid] = labs
+            if vid in out:
+                raise ValueError("%s line %d: video %s is listed twice"
+                                 % (path, lineno, vid))
+            try:
+                out[vid] = frozenset(int(x) for x in parts[1].split(",")) \
+                    if len(parts) > 1 and parts[1] else frozenset()
+            except ValueError:
+                raise ValueError("%s line %d: label ids must be integers, "
+                                 "got %r" % (path, lineno, parts[1])) from None
     return out
 
 
@@ -243,18 +251,18 @@ def _encode_codebook(args, partitions):
     if args.method == "fisher":
         gmm = encoders.fit_gmm(train_frames, args.mixtures, seed=args.seed)
         encoders.save_gmm(gmm, os.path.join(args.out, "codebook.gmm"))
-        encode = lambda fr: encoders.encode_fisher(fr, gmm)
+        encode = lambda p: encoders.encode_fisher(p.frames, gmm, p.offsets)
         dim = 2 * args.mixtures * train_frames.shape[1]
         extras = {"mixtures": str(args.mixtures)}
     else:
         km = encoders.fit_kmeans(train_frames, args.clusters, seed=args.seed)
         encoders.save_kmeans(km, os.path.join(args.out, "codebook.kms"))
-        encode = lambda fr: encoders.encode_vlad(fr, km)
+        encode = lambda p: encoders.encode_vlad(p.frames, km, p.offsets)
         dim = args.clusters * train_frames.shape[1]
         extras = {"clusters": str(args.clusters)}
 
     layout = ((args.method, 0, dim),)
-    out = {part: (_describe(partition, encode, dim), layout)
+    out = {part: (encode(partition), layout)
            for part, partition in partitions.items()}
     return out, extras
 
@@ -301,8 +309,13 @@ def _frame_training_data(args, vocab):
 def _video_training_data(args, vocab):
     vids, mat, _ = aggregate.read_descriptors(
         os.path.join(args.descriptors, "train.desc"))
-    truths = _read_labels(os.path.join(args.descriptors, "train.labels"))
-    label_sets = [truths.get(vid, ()) for vid in vids]
+    path = os.path.join(args.descriptors, "train.labels")
+    truths = _read_labels(path)
+    missing = next((vid for vid in vids if vid not in truths), None)
+    if missing is not None:
+        raise ValueError("%s: no labels for video %s of train.desc"
+                         % (path, missing))
+    label_sets = [truths[vid] for vid in vids]
     return models.add_bias(mat), data.label_matrix(label_sets, vocab.size)
 
 

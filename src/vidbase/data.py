@@ -260,15 +260,13 @@ def generate_synthetic(seed, n_labels, n_videos, dim, cluster_spec,
             labels.add(extra)
         n_frames = int(rng.integers(frames_min, frames_max + 1))
         label_list = sorted(labels)
-        picks = rng.integers(0, len(label_list), size=n_frames)
-        frames = np.empty((n_frames, dim), dtype=np.float32)
-        for t in range(n_frames):
-            lab = label_list[picks[t]]
-            frames[t] = (cluster_spec.means[lab]
-                         + cluster_spec.scales[lab]
-                         * rng.standard_normal(dim)).astype(np.float32)
+        labs = np.array(label_list)[rng.integers(0, len(label_list),
+                                                 size=n_frames)]
+        frames = (cluster_spec.means[labs]
+                  + cluster_spec.scales[labs, None]
+                  * rng.standard_normal((n_frames, dim)))
         label_sets.append(labels)
-        chunks.append(frames)
+        chunks.append(frames.astype(np.float32))
     offsets = np.zeros(n_videos + 1, dtype=np.int64)
     np.cumsum([len(c) for c in chunks], out=offsets[1:])
     return Partition(["v%06d" % i for i in range(n_videos)],

@@ -1,6 +1,8 @@
-"""Fisher Vector and VLAD encodings, with the diagonal-covariance GMM (EM)
-and k-means codebook training they require."""
+"""Fisher Vector and VLAD encodings of a partition's videos, with the
+diagonal-covariance GMM (EM) and k-means codebook training they require.
+Every frame-to-center distance is taken in the expanded, matmul form."""
 
+import bisect
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -12,6 +14,9 @@ GMM_MAGIC = b"YT8MGMM0"
 KMS_MAGIC = b"YT8MKMS0"
 
 VAR_FLOOR_FRAC = 1e-4
+# the encoders take a partition in chunks of whole videos holding at most
+# this many float64 values of (frames, N, D): 32 MiB
+CHUNK_VALUES = 1 << 22
 
 
 @dataclass
@@ -43,6 +48,8 @@ class GmmCodebook:
 class KmeansCodebook:
     centers: np.ndarray  # (k, D)
     sse_trace: list = field(default_factory=list, compare=False)
+    # nearest-center index of each fitted row under the final centers
+    assignment: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
@@ -60,11 +67,29 @@ class KmeansCodebook:
         return self.centers.shape[1]
 
 
-def _log_posteriors(x, gmm):
-    """Log responsibilities (T, N), computed with max-subtraction."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    diff = x[:, None, :] - gmm.means[None, :, :]       # (T, N, D)
-    log_pdf = -0.5 * (np.sum(diff * diff / gmm.variances[None], axis=2)
+def _distances_to(x, origin):
+    """dist(means, inv_var): the (T, N) squared distances
+    sum_d (x_td - mu_nd)^2 inv_var_nd of the frames x, in the expanded form
+    x^2.inv_var - 2 x.(mu inv_var) + mu^2.inv_var with matmuls, no (T, N, D)
+    tensor. Frames and means are first moved to `origin`, as the terms lose
+    digits where |x - origin| >> |x - mu|; a distance that rounding leaves
+    just below 0 is clipped there."""
+    x = x - origin
+    x_sq = x * x
+
+    def dist(means, inv_var):
+        means = means - origin
+        scaled = means * inv_var
+        out = x_sq @ inv_var.T - 2.0 * (x @ scaled.T)
+        out += np.sum(means * scaled, axis=1)
+        return np.maximum(out, 0.0, out=out)
+    return dist
+
+
+def _log_posteriors(dist, gmm):
+    """Log responsibilities (T, N), computed with max-subtraction, and the
+    per-frame log-likelihoods (T,) of the frames of `dist` (_distances_to)."""
+    log_pdf = -0.5 * (dist(gmm.means, 1.0 / gmm.variances)
                       + np.sum(np.log(2.0 * np.pi * gmm.variances), axis=1))
     joint = np.log(gmm.weights)[None, :] + log_pdf     # (T, N)
     norm = logsumexp(joint, axis=1, keepdims=True)
@@ -73,13 +98,16 @@ def _log_posteriors(x, gmm):
 
 def gmm_posteriors(x, gmm):
     """Per-frame component posteriors gamma_i(x_t), rows summing to 1."""
-    log_post, _ = _log_posteriors(x, gmm)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    log_post, _ = _log_posteriors(_distances_to(x, gmm.weights @ gmm.means),
+                                  gmm)
     return np.exp(log_post)
 
 
 def fit_kmeans(frames, k, seed, max_iter=100):
     """Lloyd's algorithm from k-means++ seeding; empty clusters are
-    re-seeded from the farthest point. Stops on assignment fixpoint."""
+    re-seeded from the farthest point. Stops on assignment fixpoint. The
+    codebook carries the assignment under its final centers."""
     x = np.asarray(frames, dtype=np.float64)
     n = x.shape[0]
     if n < k:
@@ -98,23 +126,29 @@ def fit_kmeans(frames, k, seed, max_iter=100):
             centers[i] = x[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
 
+    dist_to = _distances_to(x, x.mean(axis=0))
+    unit = np.ones_like(centers)
     assign = np.full(n, -1)
     sse_trace = []
     for _ in range(max_iter):
-        dists = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_assign = np.argmin(dists, axis=1)
-        sse_trace.append(float(dists[np.arange(n), new_assign].sum()))
+        dist = dist_to(centers, unit)
+        new_assign = np.argmin(dist, axis=1)  # the lowest index on ties
+        sq_err = dist.min(axis=1)
+        sse_trace.append(float(sq_err.sum()))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
         for i in range(k):
             members = x[assign == i]
             if len(members) == 0:
-                farthest = int(np.argmax(dists[np.arange(n), assign]))
-                centers[i] = x[farthest]
+                centers[i] = x[int(np.argmax(sq_err))]
             else:
                 centers[i] = members.mean(axis=0)
-    return KmeansCodebook(centers=centers, sse_trace=sse_trace)
+    else:
+        # max_iter ran out after the centers moved: assign under the new ones
+        assign = np.argmin(dist_to(centers, unit), axis=1)
+    return KmeansCodebook(centers=centers, sse_trace=sse_trace,
+                          assignment=assign)
 
 
 def fit_gmm(frames, n_components, seed, max_iter=100, rel_tol=1e-6):
@@ -127,11 +161,12 @@ def fit_gmm(frames, n_components, seed, max_iter=100, rel_tol=1e-6):
 
     global_var = x.var(axis=0)
     var_floor = np.maximum(VAR_FLOOR_FRAC * global_var, 1e-12)
+    dist_to = _distances_to(x, x.mean(axis=0))
+    x_sq = x * x
 
     def init(seed_offset):
         km = fit_kmeans(x, n_components, seed=int(seed) + seed_offset)
-        assign = np.argmin(
-            np.sum((x[:, None, :] - km.centers[None, :, :]) ** 2, axis=2), axis=1)
+        assign = km.assignment
         weights = np.maximum(np.bincount(assign, minlength=n_components), 1)
         weights = weights / weights.sum()
         means = km.centers.copy()
@@ -151,7 +186,7 @@ def fit_gmm(frames, n_components, seed, max_iter=100, rel_tol=1e-6):
     prev_ll = -np.inf
     it = 0
     while it < max_iter:
-        log_post, log_norm = _log_posteriors(x, gmm)
+        log_post, log_norm = _log_posteriors(dist_to, gmm)
         ll = float(log_norm.mean())
         trace.append(ll)
         post = np.exp(log_post)                   # (n, N)
@@ -168,7 +203,7 @@ def fit_gmm(frames, n_components, seed, max_iter=100, rel_tol=1e-6):
             continue
         weights = counts / n
         means = (post.T @ x) / counts[:, None]
-        sq = (post.T @ (x * x)) / counts[:, None]
+        sq = (post.T @ x_sq) / counts[:, None]
         variances = np.maximum(sq - means ** 2, var_floor)
         gmm = GmmCodebook(weights=weights, means=means, variances=variances)
         if np.isfinite(prev_ll) and ll - prev_ll < rel_tol * max(abs(prev_ll), 1.0):
@@ -179,47 +214,84 @@ def fit_gmm(frames, n_components, seed, max_iter=100, rel_tol=1e-6):
     return gmm
 
 
-def encode_fisher(frames, gmm):
-    """Fisher Vector: normalized log-likelihood gradients w.r.t. GMM means
-    and standard deviations, concatenated as [mu blocks; sigma blocks].
-    Output dimension is 2*N*D."""
-    x = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    n_frames = x.shape[0]
-    if x.shape[1] != gmm.dim:
+def _video_chunks(frames, offsets, dim, row_values):
+    """The frames as a 2-D array, the video bounds (`offsets`, or one video
+    of every frame when None) and the (first, stop) ranges of whole videos
+    whose frames hold at most CHUNK_VALUES values at `row_values` a frame;
+    a longer video is a chunk of its own."""
+    frames = np.atleast_2d(np.asarray(frames))
+    bounds = [0, len(frames)] if offsets is None else [int(o) for o in offsets]
+    if frames.shape[1] != dim:
         raise ValueError("dimension mismatch")
-    gamma = gmm_posteriors(x, gmm)                  # (T, N)
+    if (bounds[0] != 0 or bounds[-1] != len(frames)
+            or any(b <= a for a, b in zip(bounds, bounds[1:]))):
+        raise ValueError("offsets must rise from 0 to the frame count")
+    rows, chunks, first = max(1, CHUNK_VALUES // row_values), [], 0
+    while first < len(bounds) - 1:
+        stop = bisect.bisect_right(bounds, bounds[first] + rows) - 1
+        chunks.append((first, max(stop, first + 1)))
+        first = chunks[-1][1]
+    return frames, bounds, chunks
+
+
+def encode_fisher(frames, gmm, offsets=None):
+    """Fisher Vectors: normalized log-likelihood gradients w.r.t. GMM means
+    and standard deviations, concatenated as [mu blocks; sigma blocks], of
+    dimension 2*N*D. Video i is rows offsets[i]:offsets[i + 1] of `frames`
+    and row i of the result; without offsets the frames are one video and
+    its vector is returned. Posteriors and normalized differences are taken
+    once per chunk of videos, the gradient sums per video on views."""
+    half = gmm.n_components * gmm.dim
+    frames, bounds, chunks = _video_chunks(frames, offsets, gmm.dim, half)
     sigma = np.sqrt(gmm.variances)                  # (N, D)
-    diff = (x[:, None, :] - gmm.means[None]) / sigma[None]  # (T, N, D)
+    mu_scale = np.sqrt(gmm.weights)[:, None]
+    sigma_scale = np.sqrt(2.0 * gmm.weights)[:, None]
+    out = np.empty((len(bounds) - 1, 2 * half))
+    for first, stop in chunks:
+        start = bounds[first]
+        x = np.asarray(frames[start:bounds[stop]], dtype=np.float64)
+        gamma = gmm_posteriors(x, gmm)              # (T, N)
+        diff = x[:, None, :] - gmm.means[None]      # (T, N, D)
+        diff /= sigma
+        for i in range(first, stop):
+            lo, hi = bounds[i] - start, bounds[i + 1] - start
+            g, d = gamma[lo:hi], diff[lo:hi]
+            tau_mu = np.einsum("tn,tnd->nd", g, d)
+            tau_mu /= (hi - lo) * mu_scale
+            tau_sigma = np.einsum("tn,tnd->nd", g, d * d - 1.0)
+            tau_sigma /= (hi - lo) * sigma_scale
+            out[i] = np.concatenate([tau_mu.reshape(-1), tau_sigma.reshape(-1)])
+    return out if offsets is not None else out[0]
 
-    tau_mu = np.einsum("tn,tnd->nd", gamma, diff)
-    tau_mu /= n_frames * np.sqrt(gmm.weights)[:, None]
-    tau_sigma = np.einsum("tn,tnd->nd", gamma, diff * diff - 1.0)
-    tau_sigma /= n_frames * np.sqrt(2.0 * gmm.weights)[:, None]
-    return np.concatenate([tau_mu.reshape(-1), tau_sigma.reshape(-1)])
 
-
-def encode_vlad(frames, codebook):
+def encode_vlad(frames, codebook, offsets=None):
     """VLAD: per-center residual accumulation with intra (per-block) and
-    global L2 normalization. Output dimension is k*D. Zero blocks stay zero;
-    an all-zero encoding is returned as-is with a warning."""
-    x = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if x.shape[1] != codebook.dim:
-        raise ValueError("dimension mismatch")
-    dists = np.sum((x[:, None, :] - codebook.centers[None]) ** 2, axis=2)
-    assign = np.argmin(dists, axis=1)  # argmin takes the lowest index on ties
+    global L2 normalization, of dimension k*D, for videos given as in
+    `encode_fisher`. Zero blocks stay zero; an all-zero encoding is
+    returned as-is with a warning."""
+    centers = codebook.centers
+    frames, bounds, chunks = _video_chunks(frames, offsets, codebook.dim,
+                                           centers.size)
+    acc = np.zeros((len(bounds) - 1,) + centers.shape)  # (V, k, D)
+    for first, stop in chunks:
+        x = np.asarray(frames[bounds[first]:bounds[stop]], dtype=np.float64)
+        dist = _distances_to(x, centers.mean(axis=0))
+        assign = np.argmin(dist(centers, np.ones_like(centers)), axis=1)
+        video = np.repeat(np.arange(first, stop),
+                          np.diff(bounds[first:stop + 1]))
+        np.add.at(acc, (video, assign), x - centers[assign])
 
-    acc = np.zeros_like(codebook.centers)
-    np.add.at(acc, assign, x - codebook.centers[assign])
-
-    norms = np.linalg.norm(acc, axis=1)
+    norms = np.linalg.norm(acc, axis=2)
     nonzero = norms > 0.0
     acc[nonzero] /= norms[nonzero, None]
-    flat = acc.reshape(-1)
-    total = np.linalg.norm(flat)
-    if total == 0.0:
-        warnings.warn("all-zero VLAD encoding (every frame equals a center)")
-        return flat
-    return flat / total
+    flat = acc.reshape(len(acc), centers.size)
+    total = np.linalg.norm(flat, axis=1)
+    zero = total == 0.0
+    if zero.any():
+        warnings.warn("%d all-zero VLAD encoding(s) (every frame equals a "
+                      "center)" % zero.sum())
+    flat[~zero] /= total[~zero, None]
+    return flat if offsets is not None else flat[0]
 
 
 def save_gmm(gmm, path):

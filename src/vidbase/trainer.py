@@ -91,8 +91,14 @@ def build_sampling_plan(label_id, positives_mask, cap, seed):
                                                         int(label_id)]))
     sampled_pos = min(cap, true_pos)
     sampled_neg = min(cap, true_neg)
-    pos_sample = np.sort(rng.choice(pos_idx, size=sampled_pos, replace=False))
-    neg_sample = np.sort(rng.choice(neg_idx, size=sampled_neg, replace=False))
+    # a draw of every row of a class gives back the class's rows sorted, so
+    # it is skipped; the positives are drawn whenever the negatives are, so
+    # that the negative draw sees the same stream
+    pos_sample, neg_sample = pos_idx, neg_idx
+    if sampled_pos < true_pos or sampled_neg < true_neg:
+        pos_sample = np.sort(rng.choice(pos_idx, sampled_pos, replace=False))
+    if sampled_neg < true_neg:
+        neg_sample = np.sort(rng.choice(neg_idx, sampled_neg, replace=False))
 
     w_plus = math.sqrt((true_pos * sampled_neg) / (true_neg * sampled_pos))
     return SamplingPlan(label_id=label_id, cap=cap, seed=seed,

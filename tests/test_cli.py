@@ -365,6 +365,39 @@ def test_train_rejects_label_outside_vocabulary(corpus, encoded, tmp_path):
     assert code == cli.EXIT_DATA
 
 
+def _edit_train_labels(case, lines):
+    """train.labels lines edited for one case, and what the error names."""
+    vid = lines[2].split()[0]
+    if case == "missing-video":
+        return lines[:2] + lines[3:], [vid]
+    if case == "non-integer-id":
+        lines[2] = vid + " 1,x"
+        return lines, ["line 3"]
+    return lines + [lines[2]], ["line %d" % (len(lines) + 1), vid]
+
+
+@pytest.mark.parametrize("case", ["missing-video", "non-integer-id",
+                                  "listed-twice"])
+def test_train_rejects_bad_train_labels(corpus, encoded, tmp_path, capsys,
+                                        case):
+    desc = tmp_path / "desc"
+    desc.mkdir()
+    for name in os.listdir(encoded):
+        (desc / name).write_bytes((encoded / name).read_bytes())
+    lines, named = _edit_train_labels(
+        case, (desc / "train.labels").read_text().splitlines())
+    (desc / "train.labels").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run("train", "--descriptors", str(desc), "--vocab-dir", str(corpus),
+               "--out", str(tmp_path / "bank"), "--model", "logistic",
+               "--iterations", "1")
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(desc / "train.labels") in err
+    assert all(text in err for text in named), err
+    assert not (tmp_path / "bank").exists()
+
+
 @pytest.mark.parametrize("line", ["1", "x label_0001"],
                          ids=["one-field", "non-integer-id"])
 def test_train_rejects_malformed_vocabulary(corpus, encoded, tmp_path, capsys,

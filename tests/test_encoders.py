@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from vidbase import encoders as enc
 
@@ -161,3 +162,138 @@ def test_codebook_file_roundtrips(tmp_path):
 def test_gmm_requires_enough_samples():
     with pytest.raises(ValueError, match="10 samples"):
         enc.fit_gmm(np.zeros((5, 2)), 1, seed=0)
+
+
+# ------------------------------------------- expanded distances vs tensors
+
+def _tensor_log_posteriors(x, gmm):
+    """Reference: log responsibilities from the (T, N, D) difference tensor,
+    the form the encoders used before the expanded distances."""
+    diff = x[:, None, :] - gmm.means[None, :, :]
+    log_pdf = -0.5 * (np.sum(diff * diff / gmm.variances[None], axis=2)
+                      + np.sum(np.log(2.0 * np.pi * gmm.variances), axis=1))
+    joint = np.log(gmm.weights)[None, :] + log_pdf
+    return joint - logsumexp(joint, axis=1, keepdims=True)
+
+
+def _tensor_fisher(x, gmm):
+    """Reference: one video's Fisher Vector through the tensor posteriors."""
+    gamma = np.exp(_tensor_log_posteriors(x, gmm))
+    diff = (x[:, None, :] - gmm.means[None]) / np.sqrt(gmm.variances)[None]
+    tau_mu = np.einsum("tn,tnd->nd", gamma, diff)
+    tau_mu /= len(x) * np.sqrt(gmm.weights)[:, None]
+    tau_sigma = np.einsum("tn,tnd->nd", gamma, diff * diff - 1.0)
+    tau_sigma /= len(x) * np.sqrt(2.0 * gmm.weights)[:, None]
+    return np.concatenate([tau_mu.reshape(-1), tau_sigma.reshape(-1)])
+
+
+def _tensor_nearest(x, centers):
+    return np.argmin(np.sum((x[:, None, :] - centers[None]) ** 2, axis=2),
+                     axis=1)
+
+
+def _gmm_and_frames(case):
+    rng = np.random.default_rng(20)
+    if case == "fitted":
+        x = rng.standard_normal((600, 6)) * [1.0, 2.0, 0.5, 1.0, 3.0, 1.0]
+        return enc.fit_gmm(x, 4, seed=20), x[:200]
+    # every frame near a mean but 1000 per dimension from the origin, so
+    # |x|^2 exceeds |x - mu|^2 by about 1e6: the worst case for cancellation
+    means = 1e3 + rng.standard_normal((4, 16))
+    gmm = enc.GmmCodebook(weights=[0.1, 0.2, 0.3, 0.4], means=means,
+                          variances=rng.uniform(0.5, 2.0, (4, 16)))
+    x = means[rng.integers(0, 4, 200)] + 0.7 * rng.standard_normal((200, 16))
+    return gmm, x
+
+
+@pytest.mark.parametrize("case", ["fitted", "far-from-origin"])
+def test_expanded_log_posteriors_match_tensor_form(case):
+    gmm, x = _gmm_and_frames(case)
+    ref = _tensor_log_posteriors(x, gmm)
+    # the origins of encoding (the mixture mean) and of EM (the data mean)
+    for origin in (gmm.weights @ gmm.means, x.mean(axis=0)):
+        log_post, _ = enc._log_posteriors(enc._distances_to(x, origin), gmm)
+        assert np.max(np.abs(log_post - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["fitted", "far-from-origin"])
+def test_expanded_fisher_vectors_match_tensor_form(case):
+    gmm, x = _gmm_and_frames(case)
+    offsets = np.array([0, 1, 40, 41, 130, 200])
+    fv = enc.encode_fisher(x, gmm, offsets)
+    ref = np.stack([_tensor_fisher(x[a:b], gmm)
+                    for a, b in zip(offsets[:-1], offsets[1:])])
+    assert np.max(np.abs(fv - ref)) <= 1e-12
+
+
+def test_expanded_nearest_center_matches_tensor_form():
+    rng = np.random.default_rng(21)
+    centers = 1e3 + rng.standard_normal((8, 5))
+    x = centers[rng.integers(0, 8, 500)] + 0.3 * rng.standard_normal((500, 5))
+    dist = enc._distances_to(x, centers.mean(axis=0))(centers,
+                                                      np.ones_like(centers))
+    assert np.array_equal(np.argmin(dist, axis=1), _tensor_nearest(x, centers))
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 100])
+def test_kmeans_assignment_is_nearest_under_final_centers(max_iter):
+    x = planted_clusters(22, [[0.0, 5.0], [5.0, 0.0], [-5.0, -5.0]],
+                         per_cluster=100, scale=2.0)
+    km = enc.fit_kmeans(x, 3, seed=22, max_iter=max_iter)
+    assert len(km.sse_trace) <= max_iter
+    assert np.array_equal(km.assignment, _tensor_nearest(x, km.centers))
+
+
+# ------------------------------------------------ partitions vs per video
+
+def _partition(seed, dim, bounds):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((bounds[-1], dim)), np.array(bounds)
+
+
+def test_fisher_partition_matches_per_video_calls(monkeypatch):
+    rng = np.random.default_rng(23)
+    gmm = enc.fit_gmm(rng.standard_normal((400, 5)), 3, seed=23)
+    x, offsets = _partition(24, 5, [0, 3, 4, 20, 26, 60])
+    per_video = np.stack([enc.encode_fisher(x[a:b], gmm)
+                          for a, b in zip(offsets[:-1], offsets[1:])])
+    whole = enc.encode_fisher(x, gmm, offsets)
+    # chunks of at most 10 rows: every video is split from its neighbours
+    # and the 34-frame one is a chunk of its own
+    monkeypatch.setattr(enc, "CHUNK_VALUES", 10 * 3 * 5)
+    chunked = enc.encode_fisher(x, gmm, offsets)
+    assert whole.shape == (5, 2 * 3 * 5)
+    assert enc.encode_fisher(x[:0], gmm, [0]).shape == (0, 2 * 3 * 5)
+    assert np.allclose(whole, per_video, rtol=0, atol=1e-13)
+    assert np.allclose(chunked, whole, rtol=0, atol=1e-13)
+
+
+def test_vlad_partition_matches_per_video_calls(monkeypatch):
+    rng = np.random.default_rng(25)
+    cb = enc.KmeansCodebook(centers=rng.standard_normal((4, 3)))
+    x, offsets = _partition(26, 3, [0, 5, 7, 9, 30])
+    x[5:7] = cb.centers[2]  # video 1: every frame on a center
+    with pytest.warns(UserWarning, match="all-zero"):
+        per_video = np.stack([enc.encode_vlad(x[a:b], cb)
+                              for a, b in zip(offsets[:-1], offsets[1:])])
+    with pytest.warns(UserWarning, match="1 all-zero"):
+        whole = enc.encode_vlad(x, cb, offsets)
+    monkeypatch.setattr(enc, "CHUNK_VALUES", 6 * 4 * 3)
+    with pytest.warns(UserWarning, match="1 all-zero"):
+        chunked = enc.encode_vlad(x, cb, offsets)
+    assert np.all(whole[1] == 0.0)
+    assert enc.encode_vlad(x[:0], cb, [0]).shape == (0, 4 * 3)
+    assert np.array_equal(whole, per_video)
+    assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("offsets", [[0, 3, 3, 5], [1, 5], [0, 4]],
+                         ids=["empty-video", "late-start", "short-end"])
+def test_encoders_reject_bad_offsets(offsets):
+    x = np.zeros((5, 2))
+    gmm = enc.GmmCodebook(weights=[1.0], means=[[0.0, 0.0]],
+                          variances=[[1.0, 1.0]])
+    with pytest.raises(ValueError, match="offsets"):
+        enc.encode_fisher(x, gmm, offsets)
+    with pytest.raises(ValueError, match="offsets"):
+        enc.encode_vlad(x, enc.KmeansCodebook(centers=[[0.0, 0.0]]), offsets)

@@ -77,6 +77,31 @@ def test_sampling_plan_deterministic():
     assert np.array_equal(a.neg_indices, b.neg_indices)
 
 
+def _drawn_samples(label_id, mask, cap, seed):
+    """Reference: both classes drawn with rng.choice whatever the cap, as
+    build_sampling_plan did before it skipped the draws that take every
+    row of a class."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, label_id]))
+    pos_idx, neg_idx = np.flatnonzero(mask), np.flatnonzero(~mask)
+    return (np.sort(rng.choice(pos_idx, size=min(cap, len(pos_idx)),
+                               replace=False)),
+            np.sort(rng.choice(neg_idx, size=min(cap, len(neg_idx)),
+                               replace=False)))
+
+
+@pytest.mark.parametrize("cap", [30, 80, 10, 500],
+                         ids=["positives-bind", "negatives-bind", "both-bind",
+                              "neither-binds"])
+def test_sampling_plan_matches_drawing_every_class(cap):
+    # 60 positives and 100 negatives among 160 rows
+    mask = np.zeros(160, dtype=bool)
+    mask[np.random.default_rng(4).choice(160, size=60, replace=False)] = True
+    plan = tr.build_sampling_plan(6, mask, cap=cap, seed=13)
+    pos, neg = _drawn_samples(6, mask, cap, 13)
+    for got, want in ((plan.pos_indices, pos), (plan.neg_indices, neg)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_sampling_plan_one_class_fails():
     with pytest.raises(tr.TrainingError):
         tr.build_sampling_plan(0, np.ones(10, dtype=bool), cap=5, seed=0)
