@@ -1,6 +1,5 @@
 """Fisher Vector and VLAD encodings of a partition's videos, with the
-diagonal-covariance GMM (EM) and k-means codebook training they require.
-Every frame-to-center distance is taken in the expanded, matmul form."""
+diagonal-covariance GMM (EM) and k-means codebook training they require."""
 
 import bisect
 import struct
@@ -68,12 +67,10 @@ class KmeansCodebook:
 
 
 def _distances_to(x, origin):
-    """dist(means, inv_var): the (T, N) squared distances
-    sum_d (x_td - mu_nd)^2 inv_var_nd of the frames x, in the expanded form
-    x^2.inv_var - 2 x.(mu inv_var) + mu^2.inv_var with matmuls, no (T, N, D)
-    tensor. Frames and means are first moved to `origin`, as the terms lose
-    digits where |x - origin| >> |x - mu|; a distance that rounding leaves
-    just below 0 is clipped there."""
+    """dist(means, inv_var) -> (T, N) sum_d (x_td - mu_nd)^2 inv_var_nd, as
+    x^2.inv_var - 2 x.(mu inv_var) + mu^2.inv_var with matmuls, not a
+    (T, N, D) tensor, after moving x and mu to `origin`: the terms lose
+    digits where |x - origin| >> |x - mu|. Rounding below 0 is clipped."""
     x = x - origin
     x_sq = x * x
 
@@ -216,9 +213,8 @@ def fit_gmm(frames, n_components, seed, max_iter=100, rel_tol=1e-6):
 
 def _video_chunks(frames, offsets, dim, row_values):
     """The frames as a 2-D array, the video bounds (`offsets`, or one video
-    of every frame when None) and the (first, stop) ranges of whole videos
-    whose frames hold at most CHUNK_VALUES values at `row_values` a frame;
-    a longer video is a chunk of its own."""
+    of every frame when None) and (first, stop) ranges of whole videos of at
+    most CHUNK_VALUES values at `row_values` a frame, or of one video."""
     frames = np.atleast_2d(np.asarray(frames))
     bounds = [0, len(frames)] if offsets is None else [int(o) for o in offsets]
     if frames.shape[1] != dim:
