@@ -375,9 +375,11 @@ def _load_bank(bank_dir):
     count (every label of index.txt, trained or skipped) and the key=value
     lines of index.txt. Models that cannot be stacked (another kind,
     feature dim, expert count, l2 or margin) are a data error naming the
-    first mismatching file."""
+    first mismatching file, and so is an index.txt without the level,
+    l2_normalize or feature_dim that predict reads."""
     label_ids, loaded, paths, meta, n_labels = [], [], [], {}, 0
-    with open(os.path.join(bank_dir, "index.txt"), encoding="utf-8") as fh:
+    index = os.path.join(bank_dir, "index.txt")
+    with open(index, encoding="utf-8") as fh:
         for line in fh:
             parts = line.split()
             if not parts:
@@ -399,6 +401,9 @@ def _load_bank(bank_dir):
             elif "=" in parts[0]:
                 key, _, value = parts[0].partition("=")
                 meta[key] = value
+    for key in ("level", "l2_normalize", "feature_dim"):
+        if key not in meta:
+            raise data.DataFormatError("%s: no %s= line" % (index, key))
     if not loaded:
         return None, n_labels, meta
     stacked = models.stack_models(loaded, names=paths)
@@ -409,12 +414,12 @@ def cmd_predict(args):
     bank, n_labels, meta = _load_bank(args.bank)
     if bank is None:
         raise UsageError("model bank %s is empty" % args.bank)
-    if meta.get("level", "video") == "frame":
+    if meta["level"] == "frame":
         partition = _load_partition(args.data, args.partition)
         if int(meta["feature_dim"]) != partition.dim:
             raise UsageError("bank feature_dim does not match data")
         frames = partition.frames.astype(np.float64)
-        if meta.get("l2_normalize", "1") == "1":
+        if meta["l2_normalize"] == "1":
             frames = _l2_normalize_rows(frames)
         video_ids = partition.video_ids
         scores = trainer.predict_video_frame_level(

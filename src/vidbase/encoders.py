@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 GMM_MAGIC = b"YT8MGMM0"
 KMS_MAGIC = b"YT8MKMS0"
@@ -83,13 +82,24 @@ def _distances_to(x, origin):
     return dist
 
 
+def _logsumexp_rows(a):
+    """(T, 1) log sum_n e^a_tn in the steps, and so the bits, of scipy's
+    logsumexp: log1p(s / m) + log(m) + max, m the entries at the max."""
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return np.log1p(s) + np.log(m) + a_max
+
+
 def _log_posteriors(dist, gmm):
     """Log responsibilities (T, N), computed with max-subtraction, and the
     per-frame log-likelihoods (T,) of the frames of `dist` (_distances_to)."""
     log_pdf = -0.5 * (dist(gmm.means, 1.0 / gmm.variances)
                       + np.sum(np.log(2.0 * np.pi * gmm.variances), axis=1))
     joint = np.log(gmm.weights)[None, :] + log_pdf     # (T, N)
-    norm = logsumexp(joint, axis=1, keepdims=True)
+    norm = _logsumexp_rows(joint)
     return joint - norm, norm[:, 0]
 
 

@@ -115,10 +115,12 @@ def mean_average_precision(predictions):
     return mean_ap, per_class, skipped
 
 
-def _ranking(scores_row):
-    """Label ids ordered by descending score, ties by ascending label id."""
-    n = len(scores_row)
-    return np.lexsort((np.arange(n), -scores_row))
+def _rankings(predictions):
+    """Per video, the label ids ordered by descending score, ties by
+    ascending label id, (V, L)."""
+    scores = predictions.scores
+    ids = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+    return np.lexsort((ids, -scores), axis=1)
 
 
 def hit_at_k(predictions, k, include_empty=False):
@@ -127,33 +129,22 @@ def hit_at_k(predictions, k, include_empty=False):
     `include_empty` is set (they can never hit)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    hits = 0
-    denom = 0
-    for v, g in enumerate(predictions.truths):
-        if not g:
-            if include_empty:
-                denom += 1
-            continue
-        denom += 1
-        top = _ranking(predictions.scores[v])[:k]
-        if any(int(e) in g for e in top):
-            hits += 1
-    if denom == 0:
+    tops = _rankings(predictions)[:, :k].tolist()
+    hits = [any(e in g for e in top)
+            for g, top in zip(predictions.truths, tops) if g or include_empty]
+    if not hits:
         raise MetricError("no videos with ground truth")
-    return hits / denom
+    return sum(hits) / len(hits)
 
 
 def perr(predictions):
     """Precision at equal recall rate: per video with nonempty ground
     truth, the fraction of its labels within the top |G_v| predictions."""
-    total = 0.0
-    denom = 0
-    for v, g in enumerate(predictions.truths):
-        if not g:
-            continue
-        denom += 1
-        top = set(int(e) for e in _ranking(predictions.scores[v])[:len(g)])
-        total += len(top & g) / len(g)
+    total, denom = 0.0, 0
+    for g, ranking in zip(predictions.truths, _rankings(predictions)):
+        if g:
+            denom += 1
+            total += len(g.intersection(ranking[:len(g)].tolist())) / len(g)
     if denom == 0:
         raise MetricError("no videos with ground truth")
     return total / denom
@@ -173,11 +164,13 @@ def evaluate(predictions, hit_ks=(1, 5)):
 
 
 def write_predictions(predictions, path):
-    """Plain-text prediction file: one (video_id, label_id, score) per line."""
+    """Plain-text prediction file: one (video_id, label_id, score) per line,
+    with the score as %.9f; a video's lines are formatted as one template."""
+    rows = [" %d %%.9f\n" % e for e in range(predictions.n_labels)]
     with open(path, "w", encoding="utf-8") as fh:
-        for v, vid in enumerate(predictions.video_ids):
-            for e in range(predictions.n_labels):
-                fh.write("%s %d %.9f\n" % (vid, e, predictions.scores[v, e]))
+        for vid, scores in zip(predictions.video_ids,
+                               predictions.scores.tolist()):
+            fh.write(vid.replace("%", "%%").join([""] + rows) % tuple(scores))
 
 
 def read_predictions(path, truths_by_video=None):

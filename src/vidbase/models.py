@@ -29,7 +29,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 MODEL_MAGIC = b"YT8MMDL0"
 MODEL_VERSION = 1
@@ -52,6 +51,16 @@ def add_bias(x):
     if x.ndim == 1:
         return np.concatenate([x, [1.0]])
     return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+
+
+def expit(z):
+    """The sigmoid 1 / (1 + e^-z) of an array, with -z capped at 709 so that
+    exp never overflows (capped results are below 1.3e-308)."""
+    e = np.negative(z)
+    np.minimum(e, 709.0, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    return np.reciprocal(e, out=e)
 
 
 def _clamp(p):

@@ -16,6 +16,9 @@ DEFAULT_SAMPLE_CAP = 200_000
 # train_all's blocks gather at most this many float64 feature values per
 # lockstep step (8 MiB): batch size * (D+1) per label
 BLOCK_ELEMENTS = 1 << 20
+# a lockstep pass gathers the rows of as many steps at once as hold at most
+# this many float64 feature values (256 KiB, so that they stay in cache)
+SPAN_ELEMENTS = 1 << 15
 
 
 class TrainingError(Exception):
@@ -128,8 +131,11 @@ def expand_frame_examples(partition, frames_per_video, seed):
 
 
 def _adagrad_step(weights, grad_sq, grad, lr, eps):
-    grad_sq += grad * grad
-    weights -= lr * grad / np.sqrt(grad_sq + eps)
+    # weights -= lr * grad / sqrt(grad_sq + eps), in place over grad
+    denom = grad * grad
+    grad_sq += denom
+    np.sqrt(np.add(grad_sq, eps, out=denom), out=denom)
+    weights -= np.divide(np.multiply(lr, grad, out=grad), denom, out=grad)
 
 
 def _batch_update(model, xb, yb, wb, reg_scale, cfg):
@@ -217,29 +223,41 @@ def _lockstep_pass(model, x, sample, cfg):
     parameters unchanged. A label whose sample ends in a partial batch of
     r rows takes it after the full batches, in one step with the labels
     whose partial batch also has r rows (a batch padded with zero-weight
-    rows would sum in another order)."""
-    batch = cfg.batch_size
+    rows would sum in another order).
 
-    def step(cols, reg_scale, active=None):
-        rows, yb = sample.order[cols], sample.targets[cols]
-        wb = np.where(yb, sample.w_plus, sample.w_minus)
-        if active is not None:
-            wb[~active] = 0.0
-            reg_scale = np.where(active, reg_scale, 0.0)
-        _batch_update(model, x[rows], yb, wb, reg_scale, cfg)
-
-    sizes = sample.sizes
+    The rows, targets and weights of as many full-batch steps as hold at
+    most SPAN_ELEMENTS feature values are gathered at once, and those of
+    each partial-batch step alone; each step takes views of them."""
+    batch, sizes = cfg.batch_size, sample.sizes
     full = sizes // batch
-    scale, shortest = batch / sizes, full.min()
-    for t in range(full.max()):
-        step((slice(None), slice(t * batch, (t + 1) * batch)), scale,
-             None if t < shortest else t < full)
     tails = sizes - full * batch
+    widths = np.unique(tails[tails > 0])
+    n_full = int(full.max())
+    # (steps, labels): whether the label takes part in the step
+    live = np.concatenate([np.arange(n_full)[:, None] < full,
+                           tails == widths[:, None]])
+    reg_scales = np.where(live, np.concatenate(
+        [np.full(n_full, batch), widths])[:, None] / sizes, 0.0)
+    span = max(1, SPAN_ELEMENTS // (len(sizes) * batch * x.shape[1]))
+    spans = [(lo, min(lo + span, n_full)) for lo in range(0, n_full, span)]
+    columns = [(slice(None), slice(lo * batch, hi * batch))
+               for lo, hi in spans]
     lanes = np.arange(len(sizes))[:, None]
-    for width in np.unique(tails[tails > 0]).tolist():
-        active = tails == width
-        start = np.where(active, full * batch, 0)[:, None]
-        step((lanes, start + np.arange(width)), width / sizes, active)
+    for t, width in enumerate(widths.tolist(), n_full):
+        # a label sitting out a partial-batch step reads from position 0
+        spans.append((t, t + 1))
+        columns.append((lanes, np.where(live[t], full * batch, 0)[:, None]
+                        + np.arange(width)))
+    for (lo, hi), cols in zip(spans, columns):
+        xs, ys = x[sample.order[cols]], sample.targets[cols]
+        ws = np.where(ys, sample.w_plus, sample.w_minus)
+        if not live[lo:hi].all():   # the steps of a span share one width
+            ws[~np.repeat(live[lo:hi].T, ys.shape[1] // (hi - lo), 1)] = 0.0
+        for t in range(lo, hi):
+            cut = slice((t - lo) * batch, (t - lo + 1) * batch)
+            _batch_update(model, xs[:, cut], ys[:, cut], ws[:, cut],
+                          reg_scales[t], cfg)
+        del xs   # before the next gather, which would map fresh pages
 
 
 def train_label(model, x, y, cfg, label_ids):

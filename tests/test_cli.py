@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -489,6 +491,39 @@ def test_predict_rejects_bank_it_cannot_stack(corpus, encoded, bank,
         assert str(mixed / "model_0002.bin") in err
         assert str(mixed / "model_0000.bin") in err
     assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("key", ["level", "l2_normalize", "feature_dim"])
+def test_predict_rejects_index_without_key(encoded, bank, tmp_path, capsys,
+                                           key):
+    # predict reads these keys of index.txt; without one it must not guess
+    # a default (or die on a KeyError) but exit 2 naming the file and key
+    short = _copy_dir(bank, tmp_path / "bank")
+    index = short / "index.txt"
+    index.write_text("".join(
+        line for line in index.read_text().splitlines(keepends=True)
+        if not line.startswith(key + "=")))
+    capsys.readouterr()
+    assert run("predict", "--bank", str(short), "--descriptors",
+               str(encoded), "--partition", "test",
+               "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(index) in err and key + "=" in err
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # every stage is a process of its own: it must not pay for scipy
+    code = ("import sys, vidbase.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "oracle"])

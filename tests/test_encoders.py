@@ -297,3 +297,24 @@ def test_encoders_reject_bad_offsets(offsets):
         enc.encode_fisher(x, gmm, offsets)
     with pytest.raises(ValueError, match="offsets"):
         enc.encode_vlad(x, enc.KmeansCodebook(centers=[[0.0, 0.0]]), offsets)
+
+
+# --------------------------------------------------------- log-sum-exp
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_logsumexp_rows_bit_equal_to_scipy(order):
+    """The numpy log-sum-exp of the E-step takes scipy's steps, so its bits
+    are scipy's: rows of 1 to 64 columns, at small and large scales, with
+    ties at the row max and elsewhere."""
+    rng = np.random.default_rng(13)
+    for n_cols in (1, 2, 3, 4, 7, 8, 9, 16, 33, 64):
+        for scale in (0.1, 1.0, 30.0, 1000.0):
+            a = scale * rng.standard_normal((300, n_cols))
+            a[::3, -1] = a[::3].max(axis=1)         # a tie at the max
+            a[1::5] = np.round(a[1::5])             # ties anywhere
+            a[2::7] = a[2::7, :1]                   # every entry the max
+            a = np.asarray(a, order=order)
+            got = enc._logsumexp_rows(a)
+            want = logsumexp(a, axis=1, keepdims=True)
+            assert got.shape == want.shape == (300, 1)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -185,3 +185,63 @@ def test_prediction_set_validation():
         pset([[1.5]], [set()])
     with pytest.raises(ValueError):
         pset([[0.5]], [{3}])
+
+
+# ------------------------------------- one ranking and template per call
+
+def _ranking_reference(scores_row):
+    """Test-only reference: one video's labels by descending score, ties by
+    ascending label id, ranked one video at a time as metrics did before."""
+    return np.lexsort((np.arange(len(scores_row)), -scores_row))
+
+
+def _hit_at_k_reference(p, k):
+    hits = [any(int(e) in g for e in _ranking_reference(p.scores[v])[:k])
+            for v, g in enumerate(p.truths) if g]
+    return sum(hits) / len(hits)
+
+
+def _perr_reference(p):
+    precisions = [len(set(_ranking_reference(p.scores[v])[:len(g)].tolist())
+                      & g) / len(g) for v, g in enumerate(p.truths) if g]
+    return sum(precisions) / len(precisions)
+
+
+def test_rankings_match_per_video_reference():
+    """The whole-matrix ranking equals the per-video one row for row, on
+    score grids where ties are common, and so do Hit@k and PERR."""
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        p = random_pset(rng)
+        rankings = mt._rankings(p)
+        for v in range(len(p.video_ids)):
+            assert rankings[v].tolist() == \
+                _ranking_reference(p.scores[v]).tolist()
+        if any(p.truths):
+            for k in (1, 2, p.n_labels):
+                assert mt.hit_at_k(p, k) == _hit_at_k_reference(p, k)
+            assert mt.perr(p) == _perr_reference(p)
+
+
+def _write_predictions_reference(predictions, path):
+    """Test-only reference: the prediction writer as it was, one formatted
+    line per (video, label)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v, vid in enumerate(predictions.video_ids):
+            for e in range(predictions.n_labels):
+                fh.write("%s %d %.9f\n" % (vid, e, predictions.scores[v, e]))
+
+
+def test_write_predictions_matches_reference_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    scores = rng.random((40, 13))
+    scores[::4] = np.round(scores[::4], 3)       # ties
+    scores[1, :3] = [0.0, 1.0, 5e-10]
+    scores[2] = np.nextafter(0.5, 1.0)           # rounds at the 9th digit
+    ids = ["v%d" % i for i in range(38)] + ["100%", "a%sb%d"]
+    p = mt.PredictionSet(video_ids=ids, scores=scores,
+                         truths=[frozenset()] * len(ids))
+    mt.write_predictions(p, tmp_path / "fast.txt")
+    _write_predictions_reference(p, tmp_path / "slow.txt")
+    assert (tmp_path / "fast.txt").read_bytes() == \
+        (tmp_path / "slow.txt").read_bytes()

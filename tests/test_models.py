@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from vidbase import models as M
 
@@ -61,7 +61,6 @@ def test_moe_gating_saturation():
     m.gating[0, 0] = [0.0, 50.0]  # w.x = 50 via the bias feature
     m.experts[0, 0] = [1.0, 0.3]
     x = M.add_bias(np.array([0.7]))
-    from scipy.special import expit
     assert M.moe_predict(m, row(x))[0, 0] == pytest.approx(
         float(expit(m.experts[0, 0] @ x)), abs=1e-12)
 
@@ -93,7 +92,6 @@ def test_moe_gating_sums_to_one_with_dummy():
 
 
 def test_moe_h1_product_of_logistics():
-    from scipy.special import expit
     rng = np.random.default_rng(2)
     for _ in range(100):
         m = random_moe(rng, 1, 6, scale=1.5)
@@ -433,3 +431,28 @@ def test_zero_expert_moe_rejected():
     blob[17:21] = (0).to_bytes(4, "little")
     with pytest.raises(M.ModelFormatError, match="H >= 1"):
         M.deserialize_model(bytes(blob))
+
+
+# ------------------------------------------------------------- sigmoid
+
+def test_expit_matches_scipy():
+    """The numpy sigmoid is within 4 ulp of scipy's for z >= -709 (numpy's
+    exp differs from libm's in the last bit); beneath, -z is capped at 709
+    and the result stays below 1.3e-308."""
+    rng = np.random.default_rng(2)
+    z = np.concatenate([np.linspace(-709.0, 40.0, 400_001),
+                        30.0 * rng.standard_normal(100_000)])
+    z = z[z >= -709.0]
+    got, want = M.expit(z), expit(z)
+    assert np.max(np.abs(got - want) / np.spacing(want)) <= 4.0
+    deep = M.expit(np.array([-709.5, -745.0, -1e4, -1e308, -np.inf]))
+    assert np.all((deep > 0.0) & (deep < 1.3e-308))
+
+
+def test_expit_does_not_warn_at_extremes():
+    z = np.array([1e308, -1e308, np.inf, -np.inf, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = M.expit(z)
+    assert got[0] == got[2] == 1.0 and got[4] == 0.5
+    assert 0.0 < got[1] == got[3] < 1.3e-308

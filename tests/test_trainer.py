@@ -583,3 +583,40 @@ def test_full_batch_logistic_loss_non_increasing():
         cur = model.loss(x, y, w)
         assert cur <= prev + 1e-12
         prev = cur
+
+
+@pytest.mark.parametrize("kind", ["logistic", "moe"])
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_lockstep_span_does_not_change_results(kind, batch_size,
+                                               monkeypatch):
+    """A pass gathers the rows of many steps at once; spans of one step,
+    of three steps and of the whole pass give the same models and loss
+    traces. The cap makes the labels' samples differ in size, so some
+    labels run out of full batches early and the partial batches differ
+    in width."""
+    x, y = _lockstep_problem()
+    label_ids = [0, 1, 2, 4, 5]
+    cfg = tr.TrainerConfig(model_kind=kind, batch_size=batch_size,
+                           sample_cap=30, iterations=2, seed=4,
+                           learning_rate=0.3)
+    sizes = np.array([tr._label_sample(label_id, y[:, label_id], cfg, 0)[0]
+                      .size for label_id in label_ids])
+    assert len(set((sizes // batch_size).tolist())) > 1
+    if batch_size > 1:
+        assert len(set((sizes % batch_size).tolist()) - {0}) > 1
+    runs = []
+    for span_steps in (1, 3, None):
+        if span_steps is not None:
+            monkeypatch.setattr(tr, "SPAN_ELEMENTS", span_steps * len(label_ids)
+                                * batch_size * x.shape[1])
+        runs.append(tr.train_label(tr._make_model(x.shape[1] - 1,
+                                                  len(label_ids), cfg),
+                                   x, y, cfg, label_ids))
+        monkeypatch.undo()
+    (want_model, want_traces) = runs[-1]
+    for model, traces in runs[:-1]:
+        assert traces == want_traces
+        for (param, acc), (want_param, want_acc) in zip(model.params,
+                                                        want_model.params):
+            assert np.array_equal(param, want_param)
+            assert np.array_equal(acc, want_acc)
