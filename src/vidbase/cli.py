@@ -159,23 +159,24 @@ def cmd_preprocess(args):
     transform = preprocess.fit_whitening(fit.frames, d_out)
     preprocess.save_transform(transform, os.path.join(args.out, "transform.pca"))
 
+    fit_z = preprocess.apply_whitening(transform, fit.frames,
+                                       l2_normalize=False)
     quantizer = None
     if args.quantize:
-        quantizer = preprocess.fit_quantizer(preprocess.apply_whitening(
-            transform, fit.frames, l2_normalize=False))
+        quantizer = preprocess.fit_quantizer(fit_z)
         preprocess.save_quantizer(quantizer,
                                   os.path.join(args.out, "quantizer.qnt"))
 
     chash = _config_hash(args)
     roundtrip_num = roundtrip_den = 0.0
     for part in PARTITIONS:
+        # whiten, and quantize when asked, the partition's frames in one pass
         if part == args.fit_partition:
-            partition, fit = fit, None
+            partition, z, fit, fit_z = fit, fit_z, None, None
         else:
             partition = _load_partition(args.data, part)
-        # whiten, and quantize when asked, the partition's frames in one pass
-        z = preprocess.apply_whitening(transform, partition.frames,
-                                       l2_normalize=False)
+            z = preprocess.apply_whitening(transform, partition.frames,
+                                           l2_normalize=False)
         video_ids, offsets = partition.video_ids, partition.offsets
         labels = partition.labels
         del partition  # the input frames are not needed past whitening

@@ -1,5 +1,6 @@
 """Frame-feature data model, binary file format, and synthetic generation."""
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -136,8 +137,8 @@ class DatasetManifest:
 
 def write_features(partition, path, name="train"):
     """Serialize a partition to the binary feature format; returns a
-    manifest. Each video is a header (id, frame count, labels) followed by
-    its frames."""
+    manifest, which names the file without its directory. Each video is a
+    header (id, frame count, labels) followed by its frames."""
     frames = np.ascontiguousarray(partition.frames, dtype="<f4")
     bounds = partition.offsets.tolist()
     with open(path, "wb") as fh:
@@ -154,7 +155,8 @@ def write_features(partition, path, name="train"):
             fh.write(frames[bounds[i]:bounds[i + 1]])
 
     return DatasetManifest(partition=name, example_count=len(partition),
-                           feature_dim=partition.dim, paths=[str(path)])
+                           feature_dim=partition.dim,
+                           paths=[os.path.basename(path)])
 
 
 def read_features(path):

@@ -256,7 +256,8 @@ def test_criterion_6_preprocessing():
     t2 = preprocess.fit_whitening(gauss, d_out=8)
     z2 = preprocess.apply_whitening(t2, gauss, l2_normalize=False)
     q2 = preprocess.fit_quantizer(z2)
-    x_hat = preprocess.reconstruct_relu(t2, q2, preprocess.quantize(q2, z2))
+    x_hat = preprocess.invert_whitening(
+        t2, preprocess.dequantize(q2, preprocess.quantize(q2, z2)))
     rel = float(np.linalg.norm(x_hat - gauss) / np.linalg.norm(gauss))
     assert rel < 0.05
     print("[PASS] criterion 6: cov err %.4f <= 5e-2, boundary err %.5f "

@@ -88,6 +88,19 @@ def test_preprocess_outputs(preprocessed):
     assert partition.dim == 8
 
 
+def test_preprocess_output_independent_of_directory(corpus, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "elsewhere" / "b"
+    for out in (a, b):
+        assert run("preprocess", "--data", str(corpus),
+                   "--out", str(out)) == cli.EXIT_OK
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    assert "train.manifest" in names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert "paths=train.features\n" in (a / "train.manifest").read_text()
+
+
 @pytest.mark.parametrize("quantize", [True, False])
 def test_preprocess_matches_per_video_reference(tmp_path, quantize):
     # single-frame videos included: whitening and quantizing a partition's

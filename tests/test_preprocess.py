@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vidbase import preprocess as pp
 
@@ -152,7 +153,7 @@ def test_whiten_quantize_reconstruct_roundtrip():
     z = pp.apply_whitening(t, sample, l2_normalize=False)
     q = pp.fit_quantizer(z)
     codes = pp.quantize(q, z)
-    x_hat = pp.reconstruct_relu(t, q, codes)
+    x_hat = pp.invert_whitening(t, pp.dequantize(q, codes))
     rel = np.linalg.norm(x_hat - sample) / np.linalg.norm(sample)
     assert rel < 0.05
     z_again = pp.apply_whitening(t, x_hat, l2_normalize=False)
@@ -171,12 +172,122 @@ def test_transform_file_roundtrip(tmp_path):
 
 def test_quantizer_file_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
-    q = pp.fit_quantizer(rng.standard_normal((5000, 2)))
+    sample = rng.standard_normal((5000, 2))
+    sample[:, 1] = 0.1  # a nextafter chain of boundaries, collapsed by f4
+    q = pp.fit_quantizer(sample)
     pp.save_quantizer(q, tmp_path / "q.qnt")
     back = pp.load_quantizer(tmp_path / "q.qnt")
     x = rng.standard_normal((100, 2))
     assert np.array_equal(pp.quantize(back, x.astype(np.float32)),
                           pp.quantize(q, x.astype(np.float32)))
+
+
+@pytest.mark.parametrize("field", ["boundaries", "reconstruction"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quantizer_rejects_non_finite(field, bad):
+    arrays = {"boundaries": np.tile(np.arange(pp.N_CODES - 1.0), (2, 1)),
+              "reconstruction": np.tile(np.arange(pp.N_CODES - 0.5), (2, 1))}
+    arrays[field][1, -1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        pp.Quantizer(**arrays)
+
+
+# Test-only reference for quantize: one binary search per column.
+
+def _ref_quantize(q, x):
+    batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    codes = np.empty(batch.shape, dtype=np.uint8)
+    for j in range(q.dim):
+        codes[:, j] = np.searchsorted(q.boundaries[j], batch[:, j],
+                                      side="right")
+    return codes
+
+
+def _normal_quantizer(dim, seed=30):
+    rng = np.random.default_rng(seed)
+    return pp.fit_quantizer(rng.standard_normal((2000, dim))
+                            * rng.exponential(size=dim))
+
+
+def _columns(values, dim):
+    """(len(values), dim) matrix whose column j is `values` rolled by j."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.stack([np.roll(values, j) for j in range(dim)], axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),
+       probe=st.lists(st.floats(), min_size=1, max_size=300),
+       dim=st.integers(1, 4))
+def test_quantize_matches_searchsorted_on_drawn_data(sample, probe, dim):
+    q = pp.fit_quantizer(_columns(sample, dim))
+    x = _columns(sample + probe, dim)
+    assert np.array_equal(pp.quantize(q, x), _ref_quantize(q, x))
+
+
+def test_quantize_exact_at_boundaries_and_neighbours():
+    q = _normal_quantizer(3)
+    for j in range(q.dim):
+        b = q.boundaries[j]
+        x = np.zeros((3 * len(b), q.dim))
+        x[:, j] = np.concatenate((np.nextafter(b, -np.inf), b,
+                                  np.nextafter(b, np.inf)))
+        codes = pp.quantize(q, x)
+        assert np.array_equal(codes, _ref_quantize(q, x))
+        # b[i] itself and the value above it are in bin i + 1
+        i = np.arange(len(b))
+        assert np.array_equal(codes[:, j], np.concatenate((i, i + 1, i + 1)))
+
+
+def test_quantize_signed_zeros_infinities_and_nan():
+    # a boundary at exactly 0.0: -0.0 compares equal to it
+    boundaries = np.tile(np.arange(-127.0, 128.0), (2, 1))
+    q = pp.Quantizer(boundaries=boundaries,
+                     reconstruction=np.tile(np.arange(-127.5, 128.0), (2, 1)))
+    x = _columns([0.0, -0.0, np.inf, -np.inf, np.nan], 2)
+    codes = pp.quantize(q, x)
+    assert np.array_equal(codes, _ref_quantize(q, x))
+    assert codes[:, 0].tolist() == [128, 128, 255, 0, 255]
+
+
+def test_quantize_nextafter_chain_column():
+    # a constant sample fits a column whose 255 boundaries are consecutive
+    # floats; the other column is ordinary
+    rng = np.random.default_rng(31)
+    sample = np.stack((np.full(500, 3.25), rng.standard_normal(500)), axis=1)
+    q = pp.fit_quantizer(sample)
+    chain = q.boundaries[0]
+    assert np.array_equal(chain[1:], np.nextafter(chain[:-1], np.inf))
+    values = np.concatenate(([np.nextafter(chain[0], -np.inf)], chain,
+                             [np.nextafter(chain[-1], np.inf), 3.0, 4.0]))
+    x = _columns(values, 2)
+    codes = pp.quantize(q, x)
+    assert np.array_equal(codes, _ref_quantize(q, x))
+    assert codes[:, 0].tolist() == [0, *range(1, 256), 255, 0, 255]
+
+
+def test_quantize_float32_fortran_vector_and_empty_batch():
+    q = _normal_quantizer(5)
+    x32 = np.random.default_rng(32).standard_normal((50, 5)).astype(np.float32)
+    want = _ref_quantize(q, x32.astype(np.float64))
+    assert np.array_equal(pp.quantize(q, x32), want)
+    assert np.array_equal(pp.quantize(q, np.asfortranarray(x32)), want)
+    one = pp.quantize(q, x32[3])
+    assert one.shape == (5,) and one.dtype == np.uint8
+    assert np.array_equal(one, _ref_quantize(q, x32[3])[0])
+    empty = pp.quantize(q, np.empty((0, 5)))
+    assert empty.shape == (0, 5) and empty.dtype == np.uint8
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pp.quantize(q, np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("elements", [1, 7, pp.QUANTIZE_ELEMENTS])
+def test_quantize_ragged_last_chunk(monkeypatch, elements):
+    monkeypatch.setattr(pp, "QUANTIZE_ELEMENTS", elements)
+    q = _normal_quantizer(3)
+    rows = max(1, elements // q.dim)
+    x = np.random.default_rng(33).standard_normal((2 * rows + 1, 3)) * 2.0
+    assert np.array_equal(pp.quantize(q, x), _ref_quantize(q, x))
 
 
 # Test-only reference: the per-pass Lloyd-Max fit, which bins every sample
@@ -247,7 +358,7 @@ def test_fit_quantizer_matches_per_pass_reference(case):
                       (q.reconstruction, ref.reconstruction)):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
     probe = np.concatenate((sample, rng.standard_normal(sample.shape) * 3.0))
-    assert np.array_equal(pp.quantize(q, probe), pp.quantize(ref, probe))
+    assert np.array_equal(pp.quantize(q, probe), _ref_quantize(ref, probe))
 
 
 def test_ties_sample_has_trailing_empty_bins():
