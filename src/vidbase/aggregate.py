@@ -1,13 +1,12 @@
 """Fixed-length video descriptors from frame features: mean, standard
-deviation, and per-dimension Top-K ordinal statistics."""
+deviation, and per-dimension Top-K ordinal statistics; descriptor files."""
 
-import struct
+from collections import namedtuple
 
 import numpy as np
 
+from .data import DataFormatError, load_videos, save_videos
 from .preprocess import fit_whitening
-
-AGG_MAGIC = b"YT8MAGG0"
 
 DEFAULT_TOP_K = 5
 
@@ -55,70 +54,25 @@ def fit_global_normalizer(descriptors):
     return fit_whitening(sample, sample.shape[1])
 
 
-def write_descriptors(path, video_ids, matrix, layout):
-    """Descriptor file: magic, dim, layout table, then per-video id + values."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(AGG_MAGIC)
-        fh.write(struct.pack("<IQH", matrix.shape[1], matrix.shape[0], len(layout)))
-        for name, off, length in layout:
-            tag = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(tag)))
-            fh.write(tag)
-            fh.write(struct.pack("<II", off, length))
-        for vid, row in zip(video_ids, matrix):
-            v = vid.encode("utf-8")
-            fh.write(struct.pack("<H", len(v)))
-            fh.write(v)
-            fh.write(np.asarray(row, dtype="<f4").tobytes())
+Descriptors = namedtuple("Descriptors", "video_ids matrix layout labels meta")
 
 
-def _decode(raw, path, what):
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ValueError("%s: %s is not UTF-8" % (path, what)) from None
+def write_descriptors(path, video_ids, matrix, layout, labels, meta=None):
+    """Write a (V, d) descriptor matrix as a float32 descriptors container,
+    with the video ids, label sets, layout and `meta`; returns its sha256."""
+    return save_videos(path, "descriptors",
+                       {"matrix": np.asarray(matrix, dtype="<f4")},
+                       video_ids, labels,
+                       dict(meta or {}, layout=[list(e) for e in layout]))
 
 
 def read_descriptors(path):
-    """Read a descriptor file back as (video ids, (V, d) float64 matrix,
-    layout). A file that is cut short or longer than its header says is a
-    ValueError naming the file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != AGG_MAGIC:
-        raise ValueError("bad magic in %s" % path)
-    truncated = "truncated descriptor file %s" % path
-    try:
-        dim, count, n_layout = struct.unpack_from("<IQH", data, 8)
-        off = 8 + 14
-        layout = []
-        for _ in range(n_layout):
-            (tag_len,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = _decode(data[off:off + tag_len], path,
-                           "layout entry %d" % len(layout))
-            off += tag_len
-            comp_off, comp_len = struct.unpack_from("<II", data, off)
-            off += 8
-            layout.append((name, comp_off, comp_len))
-        # every row holds at least its id length and its values
-        if count * (2 + 4 * dim) > len(data) - off:
-            raise ValueError(truncated)
-        video_ids = []
-        rows = np.empty((count, dim), dtype=np.float64)
-        for i in range(count):
-            (vid_len,) = struct.unpack_from("<H", data, off)
-            off += 2
-            video_ids.append(_decode(data[off:off + vid_len], path,
-                                     "the id of video %d" % i))
-            off += vid_len
-            if off + 4 * dim > len(data):
-                raise ValueError(truncated)
-            rows[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
-            off += 4 * dim
-    except struct.error as exc:
-        raise ValueError(truncated) from exc
-    if off != len(data):
-        raise ValueError("%d trailing bytes in %s" % (len(data) - off, path))
-    return video_ids, rows, tuple(layout)
+    """The Descriptors of a descriptors container, the matrix as float64."""
+    arrays, video_ids, labels, meta = load_videos(path, "descriptors")
+    matrix = arrays.get("matrix")
+    if matrix is None or matrix.ndim != 2 or len(matrix) != len(video_ids):
+        raise DataFormatError("%s: the matrix must have one row per video"
+                              % path)
+    layout = tuple(tuple(entry) for entry in meta.pop("layout", ()))
+    return Descriptors(video_ids, matrix.astype(np.float64), layout,
+                       tuple(map(frozenset, labels)), meta)

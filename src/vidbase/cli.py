@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import aggregate, data, encoders, metrics, models, preprocess
+from . import aggregate, data, encoders, io, metrics, models, preprocess
 from . import reference, trainer
 
 EXIT_OK = 0
@@ -22,6 +22,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 PARTITIONS = ("train", "validate", "test")
+BANK_FILE = "bank.bin"
 
 
 class UsageError(Exception):
@@ -76,38 +77,15 @@ def _features_path(dirpath, part):
 
 
 def _load_partition(dirpath, part):
-    path = _features_path(dirpath, part)
-    if not os.path.exists(path):
-        raise FileNotFoundError("missing feature file %s" % path)
-    return data.read_features(path)
+    return data.read_features(_features_path(dirpath, part))
 
 
-def _write_labels(path, partition):
-    with open(path, "w", encoding="utf-8") as fh:
-        for vid, labs in zip(partition.video_ids, partition.labels):
-            fh.write("%s %s\n" % (vid, ",".join(str(l) for l in sorted(labs))))
-
-
-def _read_labels(path):
-    """{video id: frozenset of label ids}; a label id that is not an
-    integer or a video listed twice is a data error naming file and line."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            vid = parts[0]
-            if vid in out:
-                raise ValueError("%s line %d: video %s is listed twice"
-                                 % (path, lineno, vid))
-            try:
-                out[vid] = frozenset(int(x) for x in parts[1].split(",")) \
-                    if len(parts) > 1 and parts[1] else frozenset()
-            except ValueError:
-                raise ValueError("%s line %d: label ids must be integers, "
-                                 "got %r" % (path, lineno, parts[1])) from None
-    return out
+def _check_space(meta, path, digest, source):
+    """A data error naming both files unless `path` is of `source`'s space."""
+    if meta.get("space") != digest:
+        raise data.DataFormatError(
+            "%s is in feature space %s, but %s is for space %s"
+            % (path, meta.get("space"), source, digest))
 
 
 # ---------------------------------------------------------------- commands
@@ -137,14 +115,12 @@ def cmd_gen_synthetic(args):
         "validate": corpus.slice(n_train, n_train + n_val),
         "test": corpus.slice(n_train + n_val, n),
     }
-    chash = _config_hash(args)
+    meta = {"seed": args.seed, "config_hash": _config_hash(args),
+            "labels": args.labels, "whitened": False, "quantized": False,
+            "space": None}
     for part in PARTITIONS:
-        manifest = data.write_features(splits[part],
-                                       _features_path(args.out, part),
-                                       name=part)
-        manifest.extra = {"seed": str(args.seed), "config_hash": chash,
-                          "labels": str(args.labels)}
-        manifest.write(os.path.join(args.out, "%s.manifest" % part))
+        data.write_features(splits[part], _features_path(args.out, part),
+                            meta)
     return EXIT_OK
 
 
@@ -157,17 +133,21 @@ def cmd_preprocess(args):
     d_out = args.dim_out or fit.dim
 
     transform = preprocess.fit_whitening(fit.frames, d_out)
-    preprocess.save_transform(transform, os.path.join(args.out, "transform.pca"))
+    space = preprocess.save_transform(transform,
+                                      os.path.join(args.out, "transform.pca"))
 
     fit_z = preprocess.apply_whitening(transform, fit.frames,
                                        l2_normalize=False)
-    quantizer = None
+    quantizer = quantizer_sha = None
     if args.quantize:
         quantizer = preprocess.fit_quantizer(fit_z)
-        preprocess.save_quantizer(quantizer,
-                                  os.path.join(args.out, "quantizer.qnt"))
+        quantizer_sha = preprocess.save_quantizer(
+            quantizer, os.path.join(args.out, "quantizer.qnt"))
 
     chash = _config_hash(args)
+    meta = {"seed": args.seed, "config_hash": chash, "whitened": True,
+            "quantized": quantizer is not None, "space": space,
+            "quantizer": quantizer_sha}
     roundtrip_num = roundtrip_den = 0.0
     for part in PARTITIONS:
         # whiten, and quantize when asked, the partition's frames in one pass
@@ -187,13 +167,9 @@ def cmd_preprocess(args):
             z -= z_q  # the round-trip error, in place: no temporary of z's size
             roundtrip_num += float(np.vdot(z, z))
             z = z_q
-        manifest = data.write_features(
+        data.write_features(
             data.Partition(video_ids, z.astype(np.float32), offsets, labels),
-            _features_path(args.out, part), name=part)
-        manifest.extra = {"seed": str(args.seed), "config_hash": chash,
-                          "whitened": "1",
-                          "quantized": "1" if quantizer is not None else "0"}
-        manifest.write(os.path.join(args.out, "%s.manifest" % part))
+            _features_path(args.out, part), meta)
 
     pairs = [("config_hash", chash), ("seed", args.seed), ("dim_out", d_out),
              ("quantized", int(args.quantize))]
@@ -213,32 +189,34 @@ def _describe(partition, describe, width):
 
 
 def _encode_stats(args, partitions):
-    transform_path = os.path.join(args.data, "transform.pca")
-    quantizer_path = os.path.join(args.data, "quantizer.qnt")
-    reconstructing = os.path.exists(transform_path)
-    transform = preprocess.load_transform(transform_path) if reconstructing else None
+    # std and Top_K are more meaningful in the original activation space,
+    # so whitened inputs are mapped back before aggregation
+    meta = partitions["train"].meta
+    transform = None
+    if meta.get("whitened"):
+        path = os.path.join(args.data, "transform.pca")
+        transform, digest = preprocess.load_transform(path)
+        _check_space(meta, _features_path(args.data, "train"), digest, path)
 
     def describe(frames):
-        # std and Top_K are more meaningful in the original activation
-        # space, so whitened inputs are mapped back before aggregation
-        if reconstructing:
+        if transform is not None:
             frames = preprocess.invert_whitening(transform, frames)
         return aggregate.build_descriptor(frames, k=args.topk)
 
-    dim = transform.dim if reconstructing else partitions["train"].dim
+    dim = partitions["train"].dim if transform is None else transform.dim
     layout = aggregate.descriptor_layout(dim, args.topk)
     width = (2 + args.topk) * dim
     descriptors = {part: _describe(partition, describe, width)
                    for part, partition in partitions.items()}
     normalizer = aggregate.fit_global_normalizer(descriptors["train"])
-    preprocess.save_transform(normalizer,
-                              os.path.join(args.out, "normalizer.pca"))
+    space = preprocess.save_transform(normalizer,
+                                      os.path.join(args.out, "normalizer.pca"))
     out = {part: (preprocess.apply_whitening(normalizer, descs,
                                              l2_normalize=True), layout)
            for part, descs in descriptors.items()}
-    extras = {"reconstructed": "1" if reconstructing else "0",
-              "quantized_input": "1" if os.path.exists(quantizer_path) else "0"}
-    return out, extras
+    extras = {"reconstructed": "1" if transform is not None else "0",
+              "quantized_input": "1" if meta.get("quantized") else "0"}
+    return out, extras, space
 
 
 def _encode_codebook(args, partitions):
@@ -251,13 +229,14 @@ def _encode_codebook(args, partitions):
 
     if args.method == "fisher":
         gmm = encoders.fit_gmm(train_frames, args.mixtures, seed=args.seed)
-        encoders.save_gmm(gmm, os.path.join(args.out, "codebook.gmm"))
+        space = encoders.save_gmm(gmm, os.path.join(args.out, "codebook.gmm"))
         encode = lambda p: encoders.encode_fisher(p.frames, gmm, p.offsets)
         dim = 2 * args.mixtures * train_frames.shape[1]
         extras = {"mixtures": str(args.mixtures)}
     else:
         km = encoders.fit_kmeans(train_frames, args.clusters, seed=args.seed)
-        encoders.save_kmeans(km, os.path.join(args.out, "codebook.kms"))
+        space = encoders.save_kmeans(km,
+                                     os.path.join(args.out, "codebook.kms"))
         encode = lambda p: encoders.encode_vlad(p.frames, km, p.offsets)
         dim = args.clusters * train_frames.shape[1]
         extras = {"clusters": str(args.clusters)}
@@ -265,24 +244,29 @@ def _encode_codebook(args, partitions):
     layout = ((args.method, 0, dim),)
     out = {part: (encode(partition), layout)
            for part, partition in partitions.items()}
-    return out, extras
+    return out, extras, space
 
 
 def cmd_encode(args):
     os.makedirs(args.out, exist_ok=True)
     partitions = {part: _load_partition(args.data, part)
                   for part in PARTITIONS}
+    for part in PARTITIONS:  # one space: the one train's codebook is fit in
+        _check_space(partitions[part].meta, _features_path(args.data, part),
+                     partitions["train"].meta.get("space"),
+                     _features_path(args.data, "train"))
     if args.method == "stats":
-        encoded, extras = _encode_stats(args, partitions)
+        encoded, extras, space = _encode_stats(args, partitions)
     else:
-        encoded, extras = _encode_codebook(args, partitions)
+        encoded, extras, space = _encode_codebook(args, partitions)
 
     chash = _config_hash(args)
+    meta = {"seed": args.seed, "config_hash": chash, "method": args.method,
+            "space": space}
     for part, (mat, layout) in encoded.items():
         aggregate.write_descriptors(os.path.join(args.out, "%s.desc" % part),
-                                    partitions[part].video_ids, mat, layout)
-        _write_labels(os.path.join(args.out, "%s.labels" % part),
-                      partitions[part])
+                                    partitions[part].video_ids, mat, layout,
+                                    partitions[part].labels, meta)
     pairs = [("config_hash", chash), ("seed", args.seed),
              ("method", args.method),
              ("descriptor_dim", encoded["train"][0].shape[1])]
@@ -304,20 +288,15 @@ def _frame_training_data(args, vocab):
     if args.l2_normalize:
         frames = _l2_normalize_rows(frames)
     return (models.add_bias(frames),
-            data.label_matrix(partition.labels, vocab.size)[video_index])
+            data.label_matrix(partition.labels, vocab.size)[video_index],
+            partition.meta.get("space"))
 
 
 def _video_training_data(args, vocab):
-    vids, mat, _ = aggregate.read_descriptors(
+    desc = aggregate.read_descriptors(
         os.path.join(args.descriptors, "train.desc"))
-    path = os.path.join(args.descriptors, "train.labels")
-    truths = _read_labels(path)
-    missing = next((vid for vid in vids if vid not in truths), None)
-    if missing is not None:
-        raise ValueError("%s: no labels for video %s of train.desc"
-                         % (path, missing))
-    label_sets = [truths[vid] for vid in vids]
-    return models.add_bias(mat), data.label_matrix(label_sets, vocab.size)
+    return (models.add_bias(desc.matrix),
+            data.label_matrix(desc.labels, vocab.size), desc.meta.get("space"))
 
 
 def cmd_train(args):
@@ -327,12 +306,12 @@ def cmd_train(args):
     if args.level == "frame":
         if not args.data:
             raise UsageError("--data required for frame-level training")
-        x, y = _frame_training_data(args, vocab)
+        x, y, space = _frame_training_data(args, vocab)
         batch_default = 1
     else:
         if not args.descriptors:
             raise UsageError("--descriptors required for video-level training")
-        x, y = _video_training_data(args, vocab)
+        x, y, space = _video_training_data(args, vocab)
         batch_default = 32
 
     cfg = trainer.TrainerConfig(
@@ -349,101 +328,88 @@ def cmd_train(args):
     )
     results = trainer.train_all(vocab, x, y, cfg, workers=args.workers)
 
+    # the trained labels' stacked models, ids and whole loss traces, the
+    # skipped labels' reasons, and the training input's feature space
+    trained = [res for res in results.values() if not res.skipped]
+    arrays = {"label_ids": np.array([res.label_id for res in trained],
+                                    dtype=np.int64),
+              "loss_traces": np.reshape([res.loss_trace for res in trained],
+                                        (len(trained), cfg.iterations + 1))}
+    meta = {"config_hash": _config_hash(args), "seed": args.seed,
+            "level": args.level, "model": args.model,
+            "l2_normalize": args.l2_normalize, "feature_dim": x.shape[1] - 1,
+            "labels": vocab.size, "space": space,
+            "skipped": [[res.label_id, res.reason]
+                        for res in results.values() if res.skipped]}
+    if trained:
+        model_arrays, meta["params"] = models.serialize_model(
+            models.stack_models([res.model for res in trained]))
+        arrays.update(model_arrays)
     os.makedirs(args.out, exist_ok=True)
-    chash = _config_hash(args)
-    index_lines = ["config_hash=%s" % chash, "seed=%d" % args.seed,
-                   "level=%s" % args.level, "model=%s" % args.model,
-                   "l2_normalize=%d" % int(args.l2_normalize),
-                   "feature_dim=%d" % (x.shape[1] - 1)]
-    for label_id in sorted(results):
-        res = results[label_id]
-        if res.skipped:
-            index_lines.append("skip %d %s" % (label_id, res.reason))
-            continue
-        fname = "model_%04d.bin" % label_id
-        with open(os.path.join(args.out, fname), "wb") as fh:
-            fh.write(models.serialize_model(res.model))
-        index_lines.append("model %d %s final_loss=%.10f steps=%d"
-                           % (label_id, fname, res.loss_trace[-1],
-                              len(res.loss_trace) - 1))
-    with open(os.path.join(args.out, "index.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(index_lines) + "\n")
+    io.save(os.path.join(args.out, BANK_FILE), "bank", arrays, meta)
     return EXIT_OK
 
 
-def _load_bank(bank_dir):
-    """The bank's models stacked into one `trainer.LabelBank`, its label
-    count (every label of index.txt, trained or skipped) and the key=value
-    lines of index.txt. Models that cannot be stacked (another kind,
-    feature dim, expert count, l2 or margin) are a data error naming the
-    first mismatching file, and so is an index.txt without the level,
-    l2_normalize or feature_dim that predict reads."""
-    label_ids, loaded, paths, meta, n_labels = [], [], [], {}, 0
-    index = os.path.join(bank_dir, "index.txt")
-    with open(index, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] in ("model", "skip"):
-                label_id = int(parts[1])
-                n_labels = max(n_labels, label_id + 1)
-            if parts[0] == "model":
-                path = os.path.join(bank_dir, parts[2])
-                with open(path, "rb") as mf:
-                    blob = mf.read()
-                try:
-                    loaded.append(models.deserialize_model(blob))
-                except models.ModelFormatError as exc:
-                    raise models.ModelFormatError("%s: %s" % (path, exc)) \
-                        from exc
-                label_ids.append(label_id)
-                paths.append(path)
-            elif "=" in parts[0]:
-                key, _, value = parts[0].partition("=")
-                meta[key] = value
-    for key in ("level", "l2_normalize", "feature_dim"):
+def _load_bank(path):
+    """The LabelBank of the bank file at `path` (None when it trained no
+    label) and its header meta, checked: the keys predict reads, and a
+    model for each label id in the vocabulary."""
+    arrays, meta, _ = io.load(path, "bank")
+    for key in ("level", "l2_normalize", "feature_dim", "labels", "space"):
         if key not in meta:
-            raise data.DataFormatError("%s: no %s= line" % (index, key))
-    if not loaded:
-        return None, n_labels, meta
-    stacked = models.stack_models(loaded, names=paths)
-    return trainer.LabelBank(stacked, np.array(label_ids)), n_labels, meta
+            raise data.DataFormatError("%s: the header has no %s" % (path, key))
+    label_ids = arrays.get("label_ids", np.empty(0, dtype=np.int64))
+    if not len(label_ids):
+        return None, meta
+    try:
+        model = models.deserialize_model(arrays, meta.get("params", {}))
+    except ValueError as exc:
+        raise data.DataFormatError("%s: %s" % (path, exc)) from exc
+    if (model.n_labels != len(label_ids)
+            or not 0 <= label_ids.min() <= label_ids.max() < meta["labels"]):
+        raise data.DataFormatError("%s: %d models for label ids %s of %d"
+                                   % (path, model.n_labels, label_ids.tolist(),
+                                      meta["labels"]))
+    return trainer.LabelBank(model, label_ids), meta
+
+
+def _read_input(args, part, frame_level):
+    """The features (frame level) or the descriptors of partition `part`,
+    from --data or --descriptors, and the file's path."""
+    if frame_level:
+        path = _features_path(args.data, part)
+        return data.read_features(path), path
+    path = os.path.join(args.descriptors, "%s.desc" % part)
+    return aggregate.read_descriptors(path), path
 
 
 def cmd_predict(args):
-    bank, n_labels, meta = _load_bank(args.bank)
+    bank_path = os.path.join(args.bank, BANK_FILE)
+    bank, meta = _load_bank(bank_path)
     if bank is None:
         raise UsageError("model bank %s is empty" % args.bank)
-    if meta["level"] == "frame":
-        partition = _load_partition(args.data, args.partition)
-        if int(meta["feature_dim"]) != partition.dim:
-            raise UsageError("bank feature_dim does not match data")
-        frames = partition.frames.astype(np.float64)
-        if meta["l2_normalize"] == "1":
-            frames = _l2_normalize_rows(frames)
-        video_ids = partition.video_ids
-        scores = trainer.predict_video_frame_level(
-            bank, frames, partition.offsets, n_labels)
+    frame_level = meta["level"] == "frame"
+    inputs, path = _read_input(args, args.partition, frame_level)
+    _check_space(inputs.meta, path, meta["space"], bank_path)
+    x = inputs.frames.astype(np.float64) if frame_level else inputs.matrix
+    if meta["feature_dim"] != x.shape[1]:
+        raise UsageError("bank feature_dim does not match %s" % path)
+    if not frame_level:
+        scores = trainer.predict_video_level(bank, x, meta["labels"])
     else:
-        video_ids, mat, _ = aggregate.read_descriptors(
-            os.path.join(args.descriptors, "%s.desc" % args.partition))
-        if int(meta["feature_dim"]) != mat.shape[1]:
-            raise UsageError("bank feature_dim does not match descriptors")
-        scores = trainer.predict_video_level(bank, mat, n_labels)
-
-    pset = metrics.PredictionSet(video_ids=video_ids, scores=scores,
-                                 truths=[frozenset()] * len(video_ids))
+        if meta["l2_normalize"]:
+            x = _l2_normalize_rows(x)
+        scores = trainer.predict_video_frame_level(bank, x, inputs.offsets,
+                                                   meta["labels"])
+    pset = metrics.PredictionSet(video_ids=inputs.video_ids, scores=scores,
+                                 truths=[frozenset()] * len(inputs.video_ids))
     metrics.write_predictions(pset, args.out)
     return EXIT_OK
 
 
 def _truths_for_partition(args):
-    if args.descriptors:
-        return _read_labels(os.path.join(args.descriptors,
-                                         "%s.labels" % args.partition))
-    partition = _load_partition(args.data, args.partition)
-    return dict(zip(partition.video_ids, partition.labels))
+    inputs, _ = _read_input(args, args.partition, not args.descriptors)
+    return dict(zip(inputs.video_ids, inputs.labels))
 
 
 def cmd_evaluate(args):
@@ -581,8 +547,7 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (data.DataFormatError, models.ModelFormatError, FileNotFoundError,
-            ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     except (trainer.TrainingError, metrics.MetricError,

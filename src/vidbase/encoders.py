@@ -2,14 +2,12 @@
 diagonal-covariance GMM (EM) and k-means codebook training they require."""
 
 import bisect
-import struct
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-GMM_MAGIC = b"YT8MGMM0"
-KMS_MAGIC = b"YT8MKMS0"
+from . import io
 
 VAR_FLOOR_FRAC = 1e-4
 # the encoders take a partition in chunks of whole videos holding at most
@@ -301,45 +299,16 @@ def encode_vlad(frames, codebook, offsets=None):
 
 
 def save_gmm(gmm, path):
-    with open(path, "wb") as fh:
-        fh.write(GMM_MAGIC)
-        fh.write(struct.pack("<II", gmm.n_components, gmm.dim))
-        fh.write(np.asarray(gmm.weights, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(gmm.means, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(gmm.variances, dtype="<f4").tobytes())
-
-
-def load_gmm(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != GMM_MAGIC:
-        raise ValueError("bad magic in %s" % path)
-    n, dim = struct.unpack_from("<II", data, 8)
-    off = 16
-    weights = np.frombuffer(data, dtype="<f4", count=n, offset=off).astype(np.float64)
-    off += 4 * n
-    means = np.frombuffer(data, dtype="<f4", count=n * dim,
-                          offset=off).reshape(n, dim).astype(np.float64)
-    off += 4 * n * dim
-    variances = np.frombuffer(data, dtype="<f4", count=n * dim,
-                              offset=off).reshape(n, dim).astype(np.float64)
-    weights = weights / weights.sum()  # float32 round-trip renormalization
-    return GmmCodebook(weights=weights, means=means, variances=variances)
+    """Write a GMM's float64 arrays and log-likelihood trace, which
+    GmmCodebook(**io.load(path, "gmm").arrays) gives back; returns the
+    sha256."""
+    return io.save(path, "gmm", {
+        "weights": gmm.weights, "means": gmm.means, "variances": gmm.variances,
+        "log_likelihoods": np.asarray(gmm.log_likelihoods, dtype=np.float64)})
 
 
 def save_kmeans(codebook, path):
-    with open(path, "wb") as fh:
-        fh.write(KMS_MAGIC)
-        fh.write(struct.pack("<II", codebook.k, codebook.dim))
-        fh.write(np.ascontiguousarray(codebook.centers, dtype="<f4").tobytes())
-
-
-def load_kmeans(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != KMS_MAGIC:
-        raise ValueError("bad magic in %s" % path)
-    k, dim = struct.unpack_from("<II", data, 8)
-    centers = np.frombuffer(data, dtype="<f4", count=k * dim,
-                            offset=16).reshape(k, dim).astype(np.float64)
-    return KmeansCodebook(centers=centers)
+    """Write a k-means codebook's centers and SSE trace, as save_gmm."""
+    return io.save(path, "kmeans", {
+        "centers": codebook.centers,
+        "sse_trace": np.asarray(codebook.sse_trace, dtype=np.float64)})

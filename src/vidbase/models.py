@@ -25,13 +25,11 @@ functions score one (N, D+1) matrix shared by every label and return one
 column per label, (N, L).
 """
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-MODEL_MAGIC = b"YT8MMDL0"
-MODEL_VERSION = 1
+from .io import DataFormatError
 
 KIND_LOGISTIC = 1
 KIND_HINGE = 2
@@ -39,10 +37,6 @@ KIND_MOE = 3
 
 PROB_CLAMP = 1e-12
 DEFAULT_L2 = 1e-6
-
-
-class ModelFormatError(Exception):
-    pass
 
 
 def add_bias(x):
@@ -118,6 +112,8 @@ class LogisticModel(_LabelStack):
     grad_sq: np.ndarray = None   # Adagrad accumulator, same shape
 
     ARRAYS = ("weights", "grad_sq")
+    SETTINGS = ("l2",)
+    kind = KIND_LOGISTIC
 
     def __post_init__(self):
         self.weights = _stacked(self.weights, 2, "logistic weights")
@@ -127,10 +123,6 @@ class LogisticModel(_LabelStack):
     @classmethod
     def zeros(cls, dim, l2=DEFAULT_L2, n_labels=1):
         return cls(weights=np.zeros((n_labels, dim + 1)), l2=l2)
-
-    @property
-    def kind(self):
-        return KIND_LOGISTIC
 
     @property
     def params(self):
@@ -158,6 +150,8 @@ class HingeModel(_LabelStack):
     grad_sq: np.ndarray = None
 
     ARRAYS = ("weights", "grad_sq")
+    SETTINGS = ("l2", "margin")
+    kind = KIND_HINGE
 
     def __post_init__(self):
         self.weights = _stacked(self.weights, 2, "hinge weights")
@@ -170,10 +164,6 @@ class HingeModel(_LabelStack):
     def zeros(cls, dim, margin=1.0, l2=DEFAULT_L2, n_labels=1):
         return cls(weights=np.zeros((n_labels, dim + 1)), margin=margin,
                    l2=l2)
-
-    @property
-    def kind(self):
-        return KIND_HINGE
 
     @property
     def params(self):
@@ -204,6 +194,8 @@ class MoEModel(_LabelStack):
     expert_grad_sq: np.ndarray = None
 
     ARRAYS = ("gating", "experts", "gating_grad_sq", "expert_grad_sq")
+    SETTINGS = ("l2",)
+    kind = KIND_MOE
 
     def __post_init__(self):
         self.gating = _stacked(self.gating, 3, "MoE gating weights")
@@ -222,10 +214,6 @@ class MoEModel(_LabelStack):
     def zeros(cls, dim, n_experts=2, l2=DEFAULT_L2, n_labels=1):
         shape = (n_labels, n_experts, dim + 1)
         return cls(gating=np.zeros(shape), experts=np.zeros(shape), l2=l2)
-
-    @property
-    def kind(self):
-        return KIND_MOE
 
     @property
     def params(self):
@@ -320,90 +308,33 @@ def predict(model, x):
     return expit(hinge_predict(model, x))
 
 
-def _signature(model):
-    return (model.kind, model.l2, getattr(model, "margin", None),
-            tuple(getattr(model, name).shape[1:] for name in model.ARRAYS))
-
-
-def stack_models(models, names):
-    """One model holding the labels of `models` in order. Every model must
-    match the first in kind, feature dim, expert count, l2 and margin; the
-    first that does not is reported by its entry in `names`."""
+def stack_models(models):
+    """One model holding the labels of `models`, of one kind and shape, in
+    order."""
     first = models[0]
-    for name, model in zip(names, models):
-        if _signature(model) != _signature(first):
-            raise ModelFormatError(
-                "%s: model kind, feature dim, expert count, l2 or margin "
-                "differs from %s" % (name, names[0]))
     return replace(first, **{
-        field: np.concatenate([getattr(model, field) for model in models])
-        for field in first.ARRAYS})
+        name: np.concatenate([getattr(model, name) for model in models])
+        for name in first.ARRAYS})
+
+
+_KINDS = {cls.kind: cls for cls in (LogisticModel, HingeModel, MoEModel)}
 
 
 def serialize_model(model):
-    """The bytes of a one-label model."""
-    if model.n_labels != 1:
-        raise ValueError("a model file holds one label, not %d"
-                         % model.n_labels)
-    head = MODEL_MAGIC + struct.pack("<IB", MODEL_VERSION, model.kind)
-    if model.kind == KIND_MOE:
-        n_experts, dim1 = model.gating.shape[1:]
-        body = struct.pack("<IId", dim1 - 1, n_experts, model.l2)
-        arrays = (model.gating, model.experts,
-                  model.gating_grad_sq, model.expert_grad_sq)
-    else:
-        body = struct.pack("<IId", model.weights.shape[1] - 1, 0, model.l2)
-        if model.kind == KIND_HINGE:
-            body += struct.pack("<d", model.margin)
-        arrays = (model.weights, model.grad_sq)
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                       for a in arrays)
-    return head + body + payload
+    """A model as a bank container stores it: its float64 arrays, label
+    axis first, and its settings (kind, l2 and the hinge margin)."""
+    settings = {name: getattr(model, name) for name in model.SETTINGS}
+    settings["kind"] = model.kind
+    return {name: getattr(model, name) for name in model.ARRAYS}, settings
 
 
-def deserialize_model(blob):
-    """The one-label model (L = 1) that serialize_model wrote."""
-    if blob[:8] != MODEL_MAGIC:
-        raise ModelFormatError("bad magic")
+def deserialize_model(arrays, settings):
+    """The model that serialize_model gave `arrays` and `settings` for;
+    `arrays` may hold other arrays too."""
     try:
-        version, kind = struct.unpack_from("<IB", blob, 8)
-        if version != MODEL_VERSION:
-            raise ModelFormatError("unsupported model version %d" % version)
-        off = 13
-        dim, n_experts, l2 = struct.unpack_from("<IId", blob, off)
-        off += 16
-
-        def take(shape):
-            nonlocal off
-            count = int(np.prod(shape))
-            end = off + 8 * count
-            if end > len(blob):
-                raise ModelFormatError("truncated model payload")
-            arr = np.frombuffer(blob, dtype="<f8", count=count,
-                                offset=off).reshape(shape).copy()
-            off = end
-            return arr
-
-        if kind == KIND_MOE:
-            if n_experts < 1:
-                raise ModelFormatError("MoE model requires H >= 1")
-            shape = (1, n_experts, dim + 1)
-            model = MoEModel(gating=take(shape), experts=take(shape), l2=l2,
-                             gating_grad_sq=take(shape),
-                             expert_grad_sq=take(shape))
-        elif kind == KIND_HINGE:
-            (margin,) = struct.unpack_from("<d", blob, off)
-            off += 8
-            model = HingeModel(weights=take((1, dim + 1)), margin=margin,
-                               l2=l2, grad_sq=take((1, dim + 1)))
-        elif kind == KIND_LOGISTIC:
-            model = LogisticModel(weights=take((1, dim + 1)), l2=l2,
-                                  grad_sq=take((1, dim + 1)))
-        else:
-            raise ModelFormatError("unknown model kind %d" % kind)
-    except struct.error as exc:
-        raise ModelFormatError("truncated model payload") from exc
-    if off != len(blob):
-        raise ModelFormatError("%d trailing bytes after the model payload"
-                               % (len(blob) - off))
-    return model
+        cls = _KINDS[settings["kind"]]
+        return cls(**{name: arrays[name] for name in cls.ARRAYS},
+                   **{name: settings[name] for name in cls.SETTINGS})
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError("a model needs its kind, settings and arrays; "
+                              "missing or invalid: %s" % exc) from exc

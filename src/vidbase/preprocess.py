@@ -7,15 +7,13 @@ concatenated frames. A transform's pseudo-inverse is computed once, on the
 first reconstruction.
 """
 
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-PCA_MAGIC = b"YT8MPCA0"
-QNT_MAGIC = b"YT8MQNT0"
+from . import io
 
 N_CODES = 256
 EIG_EPS = 1e-8
@@ -236,46 +234,25 @@ def invert_whitening(transform, z):
 
 
 def save_transform(transform, path):
-    with open(path, "wb") as fh:
-        fh.write(PCA_MAGIC)
-        fh.write(struct.pack("<II", transform.dim, transform.dim_out))
-        fh.write(np.asarray(transform.mean, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(transform.matrix, dtype="<f4").tobytes())
+    """Write a transform's mean and matrix as float32; returns the sha256."""
+    return io.save(path, "transform",
+                   {"mean": transform.mean.astype("<f4"),
+                    "matrix": transform.matrix.astype("<f4")})
 
 
 def load_transform(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != PCA_MAGIC:
-        raise ValueError("bad magic in %s" % path)
-    dim, d_out = struct.unpack_from("<II", data, 8)
-    values = np.frombuffer(data, dtype="<f4", count=dim * (1 + d_out),
-                           offset=16).astype(np.float64)
-    return WhiteningTransform(mean=values[:dim],
-                              matrix=values[dim:].reshape(d_out, dim))
+    """The transform that save_transform wrote, in float64, and the
+    container's sha256."""
+    container = io.load(path, "transform")
+    try:
+        return WhiteningTransform(**container.arrays), container.sha256
+    except (TypeError, ValueError) as exc:
+        raise io.DataFormatError("%s: %s" % (path, exc)) from exc
 
 
 def save_quantizer(quantizer, path):
-    # per dimension: its 255 boundaries, then its 256 reconstruction values
-    table = np.concatenate((quantizer.boundaries, quantizer.reconstruction),
-                           axis=1)
-    with open(path, "wb") as fh:
-        fh.write(QNT_MAGIC)
-        fh.write(struct.pack("<I", quantizer.dim))
-        fh.write(table.astype("<f4").tobytes())
-
-
-def load_quantizer(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != QNT_MAGIC:
-        raise ValueError("bad magic in %s" % path)
-    (dim,) = struct.unpack_from("<I", data, 8)
-    table = np.frombuffer(data, dtype="<f4", count=dim * (2 * N_CODES - 1),
-                          offset=12).reshape(dim, 2 * N_CODES - 1)
-    boundaries = table[:, :N_CODES - 1].astype(np.float64)
-    # float32 round-trip can collapse adjacent nudged boundaries; re-separate
-    for b in boundaries:
-        _strictly_increasing(b)
-    return Quantizer(boundaries=boundaries,
-                     reconstruction=table[:, N_CODES - 1:].astype(np.float64))
+    """Write a quantizer's float64 arrays, which Quantizer(**io.load(path,
+    "quantizer").arrays) gives back; returns the sha256."""
+    return io.save(path, "quantizer",
+                   {"boundaries": quantizer.boundaries,
+                    "reconstruction": quantizer.reconstruction})

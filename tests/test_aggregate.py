@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vidbase import aggregate as agg
+from vidbase import data, io
 
 
 def test_mean_std_symmetric_pair():
@@ -116,22 +117,28 @@ def test_descriptor_file_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((5, 6)).astype(np.float32).astype(np.float64)
     layout = (("mean", 0, 3), ("std", 3, 3))
-    agg.write_descriptors(tmp_path / "x.desc", ["a", "b", "c", "d", "e"],
-                          mat, layout)
-    vids, back, back_layout = agg.read_descriptors(tmp_path / "x.desc")
-    assert vids == ["a", "b", "c", "d", "e"]
-    assert back_layout == layout
-    assert np.array_equal(back, mat)
+    labels = [{0}, {1, 3}, set(), {2}, {0, 1}]
+    digest = agg.write_descriptors(tmp_path / "x.desc",
+                                   ["a", "b", "c", "d", "e"], mat, layout,
+                                   labels, {"seed": 3, "space": "s"})
+    back = agg.read_descriptors(tmp_path / "x.desc")
+    assert back.video_ids == ("a", "b", "c", "d", "e")
+    assert back.layout == layout
+    assert back.labels == tuple(frozenset(l) for l in labels)
+    assert back.meta == {"seed": 3, "space": "s"}
+    assert back.matrix.dtype == np.float64
+    assert np.array_equal(back.matrix, mat)
+    assert digest == io.load(tmp_path / "x.desc", "descriptors").sha256
 
 
 def test_descriptor_file_rejects_truncation_and_trailing_bytes(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "x.desc"
     agg.write_descriptors(path, ["a", "b", "c"], rng.standard_normal((3, 4)),
-                          (("mean", 0, 4),))
+                          (("mean", 0, 4),), [{0}, {1}, {0}])
     blob = path.read_bytes()
-    # 30 bytes cuts the layout table, half the file cuts a row, and one
-    # byte short cuts the last value
+    # 9 bytes cuts the prefix, 30 the header, half the file cuts a row,
+    # and one byte short cuts the last value
     for size in (9, 30, len(blob) // 2, len(blob) - 1):
         path.write_bytes(blob[:size])
         with pytest.raises(ValueError, match="truncated") as err:
@@ -144,14 +151,25 @@ def test_descriptor_file_rejects_truncation_and_trailing_bytes(tmp_path):
 
 
 def test_descriptor_file_rejects_non_utf8_ids(tmp_path):
+    # a byte that is not UTF-8 in an id or in the layout fails the header's
+    # parse, naming the file
     path = tmp_path / "u.desc"
     agg.write_descriptors(path, ["a", "b"], np.ones((2, 3)),
-                          (("mean", 0, 3),))
+                          (("mean", 0, 3),), [{0}, {1}])
     blob = path.read_bytes()
-    for needle, what in ((b"mean", "layout entry 0"), (b"\x01\x00b",
-                                                       "id of video 1")):
-        at = blob.index(needle) + (2 if needle.startswith(b"\x01") else 0)
+    for needle in (b'"mean"', b'"b"'):
+        at = blob.index(needle) + 1
         path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
-        with pytest.raises(ValueError, match=what + " is not UTF-8") as err:
+        with pytest.raises(ValueError, match="malformed header") as err:
             agg.read_descriptors(path)
         assert str(path) in str(err.value)
+
+
+def test_descriptor_matrix_needs_a_row_per_video(tmp_path):
+    path = tmp_path / "r.desc"
+    data.save_videos(path, "descriptors",
+                     {"matrix": np.ones((3, 2), dtype="<f4")}, ["a", "b"],
+                     [{0}, {1}], {"layout": []})
+    with pytest.raises(ValueError, match="one row per video") as err:
+        agg.read_descriptors(path)
+    assert str(path) in str(err.value)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from vidbase import aggregate, cli, data, preprocess
+from vidbase import aggregate, cli, data, io, preprocess, trainer
 
 
 def run(*argv):
@@ -33,9 +34,11 @@ def test_gen_synthetic_split_and_artifacts(corpus):
     assert len(set(ids)) == 200
     with open(os.path.join(corpus, "vocab.txt")) as fh:
         assert len(fh.read().splitlines()) == 4
-    with open(os.path.join(corpus, "train.manifest")) as fh:
-        text = fh.read()
-    assert "config_hash=" in text and "seed=1" in text
+    meta = parts["train"].meta
+    assert len(meta["config_hash"]) == 16 and meta["seed"] == 1
+    assert meta["whitened"] is False and meta["space"] is None
+    assert sorted(os.listdir(corpus)) == ["test.features", "train.features",
+                                          "validate.features", "vocab.txt"]
 
 
 def test_gen_synthetic_deterministic(tmp_path):
@@ -49,16 +52,34 @@ def test_gen_synthetic_deterministic(tmp_path):
 
 
 def test_gen_synthetic_bytes_pinned(tmp_path):
-    # the generator's draw order and the feature file format are fixed:
-    # these files must never change for the same arguments
+    # the generator's draw order is fixed: the arrays it gives (frames,
+    # offsets, ids, labels) are pinned to the values they had in the
+    # per-video feature format, and the files to the container format
     out = tmp_path / "g"
     assert run("gen-synthetic", "--out", str(out), "--seed", "4",
                "--labels", "3", "--videos", "40", "--dim", "5") == cli.EXIT_OK
-    digests = {part: hashlib.sha256((out / ("%s.features" % part))
-                                    .read_bytes()).hexdigest()[:16]
-               for part in cli.PARTITIONS}
-    assert digests == {"train": "565e74892ebe34ad", "validate": "bcca7efad1b55047",
-                       "test": "f7048961a970d4fa"}
+
+    def sha(blob):
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+    arrays, files = {}, {}
+    for part in cli.PARTITIONS:
+        path = out / ("%s.features" % part)
+        p = data.read_features(path)
+        arrays[part] = [sha(p.frames.astype("<f4").tobytes()),
+                        sha(p.offsets.astype("<i8").tobytes()),
+                        sha("\n".join(p.video_ids).encode()),
+                        sha(json.dumps([sorted(l) for l in p.labels]).encode())]
+        files[part] = sha(path.read_bytes())
+    assert arrays == {
+        "train": ["9a490cb7bd0fb8e9", "738100c91eb895a5", "20fa7ee6a432d3c3",
+                  "9f7672cd78a61b2c"],
+        "validate": ["c7aa4cdb4f40fb10", "d5d8d5a9bbbdd3d5",
+                     "9b2d3b60c10ee700", "10b8f3b4325d4aeb"],
+        "test": ["091c68789f22f7df", "eda03e8a79216d51", "e99939946ff810ed",
+                 "30aade9634d6c185"]}
+    assert files == {"train": "d01c4d1b9eebb86c", "validate": "23d84f8f5cc31615",
+                     "test": "477e04e7418b5c4b"}
 
 
 def test_preprocess_refuses_leaky_fit(corpus, tmp_path):
@@ -95,10 +116,10 @@ def test_preprocess_output_independent_of_directory(corpus, tmp_path):
                    "--out", str(out)) == cli.EXIT_OK
     names = sorted(os.listdir(a))
     assert names == sorted(os.listdir(b))
-    assert "train.manifest" in names
+    assert names == ["quantizer.qnt", "report.txt", "test.features",
+                     "train.features", "transform.pca", "validate.features"]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    assert "paths=train.features\n" in (a / "train.manifest").read_text()
 
 
 @pytest.mark.parametrize("quantize", [True, False])
@@ -152,7 +173,7 @@ def test_preprocess_empty_partition(tmp_path):
     empty = data.read_features(str(out / "test.features"))
     # an empty partition still carries its dimension
     assert len(empty) == 0 and empty.dim == 4
-    assert "example_count=0" in (out / "test.manifest").read_text()
+    assert empty.offsets.tolist() == [0] and empty.meta["whitened"] is True
 
     bank = tmp_path / "fbank"
     assert run("train", "--data", str(out), "--vocab-dir", str(src),
@@ -192,7 +213,7 @@ def test_encode_stats_dimension(corpus, tmp_path):
     code = run("encode", "--data", str(corpus), "--out", str(out),
                "--method", "stats", "--topk", "5")
     assert code == cli.EXIT_OK
-    _, mat, layout = aggregate.read_descriptors(str(out / "train.desc"))
+    _, mat, layout, _, _ = aggregate.read_descriptors(str(out / "train.desc"))
     # mean (D) + std (D) + top5 (5D) = 7D
     assert mat.shape[1] == 7 * 8
     names = [name for name, _, _ in layout]
@@ -205,7 +226,7 @@ def test_encode_fisher_dimension(corpus, tmp_path):
                "--method", "fisher", "--mixtures", "3",
                "--codebook-sample", "2000")
     assert code == cli.EXIT_OK
-    _, mat, _ = aggregate.read_descriptors(str(out / "train.desc"))
+    mat = aggregate.read_descriptors(str(out / "train.desc")).matrix
     assert mat.shape[1] == 2 * 3 * 8
 
 
@@ -215,7 +236,7 @@ def test_encode_vlad_dimension(corpus, tmp_path):
                "--method", "vlad", "--clusters", "4",
                "--codebook-sample", "2000")
     assert code == cli.EXIT_OK
-    _, mat, _ = aggregate.read_descriptors(str(out / "train.desc"))
+    mat = aggregate.read_descriptors(str(out / "train.desc")).matrix
     assert mat.shape[1] == 4 * 8
     assert np.allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-5)
 
@@ -240,15 +261,36 @@ def bank(corpus, encoded, tmp_path_factory):
     return out
 
 
-def test_train_writes_index_and_models(bank):
-    with open(os.path.join(bank, "index.txt")) as fh:
-        lines = fh.read().splitlines()
-    model_lines = [l for l in lines if l.startswith("model ")]
-    assert len(model_lines) == 4
-    assert any(l.startswith("config_hash=") for l in lines)
-    for line in model_lines:
-        fname = line.split()[2]
-        assert os.path.exists(os.path.join(bank, fname))
+def test_train_writes_index_and_models(bank, encoded):
+    # the index and the model files are one container now: the stacked
+    # models, their label ids and loss traces, and the settings
+    assert os.listdir(bank) == [cli.BANK_FILE]
+    arrays, meta, _ = io.load(bank / cli.BANK_FILE, "bank")
+    assert arrays["label_ids"].tolist() == [0, 1, 2, 3]
+    assert arrays["gating"].shape[:2] == (4, 2)
+    assert arrays["loss_traces"].shape == (4, 6)
+    assert len(meta["config_hash"]) == 16 and meta["seed"] == 2
+    assert (meta["level"], meta["model"], meta["labels"]) == ("video", "moe", 4)
+    assert meta["l2_normalize"] is True and meta["skipped"] == []
+    desc = aggregate.read_descriptors(encoded / "train.desc")
+    assert meta["feature_dim"] == desc.matrix.shape[1]
+    assert meta["space"] == desc.meta["space"]
+
+
+def test_bank_keeps_every_loss_trace(corpus, encoded, tmp_path, monkeypatch):
+    # each label's whole loss trace, as train_all gave it, is in the bank
+    seen = []
+    train_all = trainer.train_all
+    monkeypatch.setattr(trainer, "train_all",
+                        lambda *a, **k: seen.append(train_all(*a, **k))
+                        or seen[-1])
+    assert run("train", "--descriptors", str(encoded), "--vocab-dir",
+               str(corpus), "--out", str(tmp_path / "b"), "--model",
+               "logistic", "--iterations", "4") == cli.EXIT_OK
+    traces = io.load(tmp_path / "b" / cli.BANK_FILE,
+                     "bank").arrays["loss_traces"]
+    assert traces.tolist() == [res.loss_trace for res in seen[0].values()]
+    assert traces.shape == (4, 5)
 
 
 def test_train_deterministic_across_workers(corpus, encoded, tmp_path):
@@ -261,9 +303,9 @@ def test_train_deterministic_across_workers(corpus, encoded, tmp_path):
                    "--seed", "5", "--workers", workers)
         assert code == cli.EXIT_OK
         outs.append(out)
+    assert os.listdir(outs[0]) == os.listdir(outs[1]) == [cli.BANK_FILE]
     for name in os.listdir(outs[0]):
-        if name.endswith(".bin"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_predict_evaluate_oracle_roundtrip(corpus, encoded, bank, tmp_path):
@@ -366,49 +408,64 @@ def test_evaluate_rejects_partial_or_malformed_predictions(
     assert not (tmp_path / "r.txt").exists()
 
 
+def _copy_dir(src, dst):
+    dst.mkdir()
+    for name in os.listdir(src):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+def _rewrite_desc(path, edit):
+    """Rewrite a descriptors container with its arrays and header meta
+    edited by `edit`, under a valid digest, as another writer could."""
+    arrays, meta, _ = io.load(path, "descriptors")
+    arrays = {name: a.copy() for name, a in arrays.items()}
+    edit(arrays, meta)
+    io.save(path, "descriptors", arrays, meta)
+
+
 def test_train_rejects_label_outside_vocabulary(corpus, encoded, tmp_path):
-    desc = tmp_path / "desc"
-    desc.mkdir()
-    for name in os.listdir(encoded):
-        (desc / name).write_bytes((encoded / name).read_bytes())
-    lines = (desc / "train.labels").read_text().splitlines()
-    lines[0] = lines[0].split()[0] + " 3,99"
-    (desc / "train.labels").write_text("\n".join(lines) + "\n")
+    desc = _copy_dir(encoded, tmp_path / "desc")
+    _rewrite_desc(desc / "train.desc",
+                  lambda arrays, meta: arrays["labels"].__setitem__(0, 99))
     code = run("train", "--descriptors", str(desc), "--vocab-dir", str(corpus),
                "--out", str(tmp_path / "bank"), "--model", "logistic",
                "--iterations", "1")
     assert code == cli.EXIT_DATA
 
 
-def _edit_train_labels(case, lines):
-    """train.labels lines edited for one case, and what the error names."""
-    vid = lines[2].split()[0]
+def _edit_train_labels(case, arrays, meta):
+    """train.desc's label arrays or header edited for one case, and what
+    the error names."""
+    vid = meta["video_ids"][2]
     if case == "missing-video":
-        return lines[:2] + lines[3:], [vid]
+        arrays["label_counts"] = arrays["label_counts"][:-1]
+        return ["a count per video"]
     if case == "non-integer-id":
-        lines[2] = vid + " 1,x"
-        return lines, ["line 3"]
-    return lines + [lines[2]], ["line %d" % (len(lines) + 1), vid]
+        arrays["labels"] = arrays["labels"] + 0.5
+        return ["non-negative integers"]
+    meta["video_ids"][3] = vid
+    return ["video %s is listed twice" % vid]
 
 
 @pytest.mark.parametrize("case", ["missing-video", "non-integer-id",
                                   "listed-twice"])
 def test_train_rejects_bad_train_labels(corpus, encoded, tmp_path, capsys,
                                         case):
-    desc = tmp_path / "desc"
-    desc.mkdir()
-    for name in os.listdir(encoded):
-        (desc / name).write_bytes((encoded / name).read_bytes())
-    lines, named = _edit_train_labels(
-        case, (desc / "train.labels").read_text().splitlines())
-    (desc / "train.labels").write_text("\n".join(lines) + "\n")
+    # the labels travel in train.desc: label arrays without a count per
+    # video or with label ids that are not integers, or a header listing a
+    # video twice, are a data error naming the file
+    desc = _copy_dir(encoded, tmp_path / "desc")
+    named = []
+    _rewrite_desc(desc / "train.desc", lambda arrays, meta: named.extend(
+        _edit_train_labels(case, arrays, meta)))
     capsys.readouterr()
     code = run("train", "--descriptors", str(desc), "--vocab-dir", str(corpus),
                "--out", str(tmp_path / "bank"), "--model", "logistic",
                "--iterations", "1")
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert str(desc / "train.labels") in err
+    assert str(desc / "train.desc") in err
     assert all(text in err for text in named), err
     assert not (tmp_path / "bank").exists()
 
@@ -442,21 +499,16 @@ def test_predict_scores_trailing_skipped_label(corpus, encoded, tmp_path):
     assert run("train", "--descriptors", str(encoded), "--vocab-dir",
                str(vocab_dir), "--out", str(bank), "--model", "logistic",
                "--iterations", "1") == cli.EXIT_OK
-    assert "skip 4 " in (bank / "index.txt").read_text()
+    meta = io.load(bank / cli.BANK_FILE, "bank").meta
+    assert meta["skipped"] == [[4, "no positive examples"]]
+    assert meta["labels"] == 5
     preds = tmp_path / "preds.txt"
     assert run("predict", "--bank", str(bank), "--descriptors", str(encoded),
                "--partition", "test", "--out", str(preds)) == cli.EXIT_OK
     rows = [line.split() for line in preds.read_text().splitlines()]
-    n_videos = len((encoded / "test.labels").read_text().splitlines())
+    n_videos = len(aggregate.read_descriptors(encoded / "test.desc").video_ids)
     assert len(rows) == 5 * n_videos
     assert [float(s) for _, lab, s in rows if lab == "4"] == [0.0] * n_videos
-
-
-def _copy_dir(src, dst):
-    dst.mkdir()
-    for name in os.listdir(src):
-        (dst / name).write_bytes((src / name).read_bytes())
-    return dst
 
 
 @pytest.mark.parametrize("fault", ["truncated", "trailing"])
@@ -473,7 +525,7 @@ def test_predict_rejects_damaged_inputs(encoded, bank, tmp_path, capsys,
             (["--bank", str(bank), "--descriptors", str(desc)],
              desc / "test.desc"),
             (["--bank", str(bad_bank), "--descriptors", str(encoded)],
-             bad_bank / "model_0002.bin")):
+             bad_bank / cli.BANK_FILE)):
         damage(victim)
         capsys.readouterr()
         assert run("predict", *argv, "--partition", "test",
@@ -484,44 +536,52 @@ def test_predict_rejects_damaged_inputs(encoded, bank, tmp_path, capsys,
     assert not (tmp_path / "p.txt").exists()
 
 
-def test_predict_rejects_bank_it_cannot_stack(corpus, encoded, bank,
-                                              tmp_path, capsys):
-    # model_0002.bin replaced by a logistic model, then by a MoE model
-    # with another expert count: predict exits 2 naming that file
-    from vidbase import models
-    mixed = _copy_dir(bank, tmp_path / "bank")
-    dim = int(dict(line.split("=", 1) for line in
-                   (bank / "index.txt").read_text().splitlines()
-                   if "=" in line)["feature_dim"])
-    for odd in (models.LogisticModel.zeros(dim),
-                models.MoEModel.zeros(dim, n_experts=3)):
-        (mixed / "model_0002.bin").write_bytes(models.serialize_model(odd))
+def _rewrite_bank(bank, dst, edit):
+    """A copy of a bank with its arrays and header edited by `edit`, under
+    a valid digest, as another writer could make it."""
+    arrays, meta, _ = io.load(bank / cli.BANK_FILE, "bank")
+    arrays, meta = dict(arrays), json.loads(json.dumps(meta))
+    edit(arrays, meta)
+    dst.mkdir()
+    io.save(dst / cli.BANK_FILE, "bank", arrays, meta)
+    return dst / cli.BANK_FILE
+
+
+def test_predict_rejects_bank_it_cannot_stack(encoded, bank, tmp_path, capsys):
+    # a bank is one container, so its labels cannot mix kinds or shapes;
+    # its models must still match its label ids and its model settings:
+    # fewer ids than models, an id past the vocabulary, a missing array
+    # and another model kind are each a data error naming the file
+    for n, edit in enumerate((
+            lambda arrays, meta: arrays.update(
+                label_ids=arrays["label_ids"][:3]),
+            lambda arrays, meta: arrays.update(
+                label_ids=arrays["label_ids"] + 1),
+            lambda arrays, meta: arrays.pop("experts"),
+            lambda arrays, meta: meta["params"].update(kind=1))):
+        path = _rewrite_bank(bank, tmp_path / ("bank%d" % n), edit)
         capsys.readouterr()
-        assert run("predict", "--bank", str(mixed), "--descriptors",
+        assert run("predict", "--bank", str(path.parent), "--descriptors",
                    str(encoded), "--partition", "test",
                    "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert str(mixed / "model_0002.bin") in err
-        assert str(mixed / "model_0000.bin") in err
+        assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "p.txt").exists()
 
 
 @pytest.mark.parametrize("key", ["level", "l2_normalize", "feature_dim"])
 def test_predict_rejects_index_without_key(encoded, bank, tmp_path, capsys,
                                            key):
-    # predict reads these keys of index.txt; without one it must not guess
-    # a default (or die on a KeyError) but exit 2 naming the file and key
-    short = _copy_dir(bank, tmp_path / "bank")
-    index = short / "index.txt"
-    index.write_text("".join(
-        line for line in index.read_text().splitlines(keepends=True)
-        if not line.startswith(key + "=")))
+    # predict reads these keys of the bank's header; without one it must
+    # not guess a default (or die on a KeyError) but exit 2 naming the
+    # file and key
+    path = _rewrite_bank(bank, tmp_path / "bank",
+                         lambda arrays, meta: meta.pop(key))
     capsys.readouterr()
-    assert run("predict", "--bank", str(short), "--descriptors",
+    assert run("predict", "--bank", str(path.parent), "--descriptors",
                str(encoded), "--partition", "test",
                "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert str(index) in err and key + "=" in err
+    assert str(path) in err and "no %s" % key in err
     assert not (tmp_path / "p.txt").exists()
 
 
@@ -567,7 +627,8 @@ def test_evaluate_names_ground_truth_label_missing_from_predictions(
     lines = [l for l in preds.read_text().splitlines()
              if l.split()[1] != "3"]
     preds.write_text("\n".join(lines) + "\n")
-    truths = cli._read_labels(encoded / "test.labels")
+    desc = aggregate.read_descriptors(encoded / "test.desc")
+    truths = dict(zip(desc.video_ids, desc.labels))
     first = next(vid for vid in (l.split()[0] for l in lines)
                  if 3 in truths[vid])
     for command in ("evaluate", "oracle"):
@@ -580,3 +641,125 @@ def test_evaluate_names_ground_truth_label_missing_from_predictions(
         err = capsys.readouterr().err
         assert str(preds) in err and "label 3 of video %s " % first in err
     assert not (tmp_path / "r.txt").exists()
+
+
+# ------------------------------------------- inputs of another feature space
+
+@pytest.fixture(scope="module")
+def other_corpus(tmp_path_factory):
+    # the shape of `corpus`, drawn from another seed
+    out = tmp_path_factory.mktemp("other")
+    assert run("gen-synthetic", "--out", str(out), "--seed", "9",
+               "--labels", "4", "--videos", "200", "--dim", "8",
+               "--frames-min", "4", "--frames-max", "12") == cli.EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def other_prep(other_corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("other_prep")
+    assert run("preprocess", "--data", str(other_corpus),
+               "--out", str(out)) == cli.EXIT_OK
+    return out
+
+
+def test_encode_rejects_foreign_transform(preprocessed, other_prep, tmp_path,
+                                          capsys):
+    # prep features whitened by one transform, next to another corpus's
+    # transform.pca of the same shape: encode must not invert with it
+    prep = _copy_dir(preprocessed, tmp_path / "prep")
+    (prep / "transform.pca").write_bytes(
+        (other_prep / "transform.pca").read_bytes())
+    capsys.readouterr()
+    assert run("encode", "--data", str(prep), "--out", str(tmp_path / "d"),
+               "--method", "stats") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(prep / "transform.pca") in err
+    assert str(prep / "train.features") in err
+    assert not (tmp_path / "d" / "train.desc").exists()
+
+
+@pytest.mark.parametrize("method", ["stats", "vlad"])
+def test_encode_rejects_partitions_of_two_spaces(preprocessed, other_prep,
+                                                 tmp_path, capsys, method):
+    # a test partition whitened by another corpus's transform: neither the
+    # transform nor a codebook fit on train frames applies to it
+    prep = _copy_dir(preprocessed, tmp_path / "prep")
+    (prep / "test.features").write_bytes(
+        (other_prep / "test.features").read_bytes())
+    capsys.readouterr()
+    assert run("encode", "--data", str(prep), "--out", str(tmp_path / "d"),
+               "--method", method, "--clusters", "2") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(prep / "test.features") in err
+    assert str(prep / "train.features") in err
+
+
+def test_encode_rejects_truncated_transform(preprocessed, tmp_path, capsys):
+    prep = _copy_dir(preprocessed, tmp_path / "prep")
+    blob = (prep / "transform.pca").read_bytes()
+    (prep / "transform.pca").write_bytes(blob[:len(blob) - 20])
+    capsys.readouterr()
+    assert run("encode", "--data", str(prep), "--out", str(tmp_path / "d"),
+               "--method", "stats") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(prep / "transform.pca") in err and "truncated" in err
+
+
+def test_encode_takes_flags_from_the_header(preprocessed, tmp_path):
+    # whitened features without their transform.pca are a data error, not
+    # a silent switch to encoding the whitened frames
+    prep = _copy_dir(preprocessed, tmp_path / "prep")
+    os.remove(prep / "transform.pca")
+    assert run("encode", "--data", str(prep), "--out", str(tmp_path / "d"),
+               "--method", "stats") == cli.EXIT_DATA
+
+
+def test_predict_rejects_descriptors_of_another_space(
+        other_corpus, bank, tmp_path, capsys):
+    # the bank was trained on `encoded`, whose normalizer was fit on
+    # `corpus`; descriptors of the same width from another corpus's
+    # normalizer are another space
+    other = tmp_path / "desc"
+    assert run("encode", "--data", str(other_corpus), "--out", str(other),
+               "--method", "stats") == cli.EXIT_OK
+    capsys.readouterr()
+    assert run("predict", "--bank", str(bank), "--descriptors", str(other),
+               "--partition", "test",
+               "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(other / "test.desc") in err
+    assert str(bank / cli.BANK_FILE) in err
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_predict_rejects_frames_of_another_space(
+        corpus, preprocessed, other_prep, tmp_path, capsys):
+    fbank = tmp_path / "fbank"
+    assert run("train", "--data", str(preprocessed), "--vocab-dir",
+               str(corpus), "--out", str(fbank), "--model", "logistic",
+               "--level", "frame", "--iterations", "1") == cli.EXIT_OK
+    assert run("predict", "--bank", str(fbank), "--data", str(preprocessed),
+               "--partition", "test",
+               "--out", str(tmp_path / "ok.txt")) == cli.EXIT_OK
+    capsys.readouterr()
+    assert run("predict", "--bank", str(fbank), "--data", str(other_prep),
+               "--partition", "test",
+               "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(other_prep / "test.features") in err
+    assert str(fbank / cli.BANK_FILE) in err
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_raw_corpora_share_one_space(corpus, other_corpus, tmp_path):
+    # generated frames are not whitened: every raw corpus is in the one
+    # raw space, so a frame bank of one scores another
+    fbank = tmp_path / "fbank"
+    assert run("train", "--data", str(corpus), "--out", str(fbank),
+               "--model", "logistic", "--level", "frame",
+               "--iterations", "1") == cli.EXIT_OK
+    assert io.load(fbank / cli.BANK_FILE, "bank").meta["space"] is None
+    assert run("predict", "--bank", str(fbank), "--data", str(other_corpus),
+               "--partition", "test",
+               "--out", str(tmp_path / "p.txt")) == cli.EXIT_OK

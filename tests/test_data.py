@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vidbase import data
+from vidbase import data, io
 
 
 def make_partition(videos, dim=None):
@@ -26,18 +26,26 @@ def assert_same(a, b):
 def test_roundtrip_single_video(tmp_path):
     part = make_partition([("v0", [[0.0, 0.0]], ())])
     path = tmp_path / "one.features"
-    manifest = data.write_features(part, path)
-    assert manifest.example_count == 1
-    assert_same(data.read_features(path), part)
+    digest = data.write_features(part, path)
+    back = data.read_features(path)
+    assert_same(back, part)
+    assert digest == io.load(path, "features").sha256
 
 
 def test_manifest_counts(tmp_path):
+    # the header replaced the manifest: it gives the video count and the
+    # dimension through the arrays' shapes, and the ids; the label sets
+    # are a count per video and the sorted labels in turn
     rng = np.random.default_rng(3)
-    part = make_partition([("v%d" % i, rng.standard_normal((f, 4)), {i})
-                           for i, f in enumerate([2, 5, 7])])
-    manifest = data.write_features(part, tmp_path / "d.features")
-    assert manifest.example_count == 3
-    assert manifest.feature_dim == 4
+    part = make_partition([("v%d" % i, rng.standard_normal((f, 4)), labs)
+                           for i, (f, labs) in enumerate([(2, {3, 0}), (5, ()),
+                                                          (7, {2})])])
+    data.write_features(part, tmp_path / "d.features")
+    arrays, meta, _ = io.load(tmp_path / "d.features", "features")
+    assert arrays["frames"].shape == (14, 4) and arrays["offsets"].shape == (4,)
+    assert meta["video_ids"] == ["v0", "v1", "v2"]
+    assert arrays["label_counts"].tolist() == [2, 0, 1]
+    assert arrays["labels"].tolist() == [0, 3, 2]
 
 
 def test_roundtrip_random_corpus(tmp_path):
@@ -58,8 +66,9 @@ def test_empty_payload(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.features"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-    with pytest.raises(data.DataFormatError, match="bad magic"):
+    with pytest.raises(data.DataFormatError, match="bad magic") as err:
         data.read_features(path)
+    assert str(path) in str(err.value)
 
 
 def test_truncated_file(tmp_path):
@@ -67,7 +76,7 @@ def test_truncated_file(tmp_path):
     data.write_features(make_partition([("v0", [[1.0, 2.0], [3.0, 4.0]], ()),
                                         ("v1", [[5.0, 6.0]], (1,))]), path)
     blob = path.read_bytes()
-    for cut in (1, 5, 8, 20, len(blob) - 24):
+    for cut in (1, 5, 8, 20, len(blob) - 24, len(blob) - 4):
         path.write_bytes(blob[:-cut])
         with pytest.raises(data.DataFormatError, match="truncated") as err:
             data.read_features(path)
@@ -75,17 +84,18 @@ def test_truncated_file(tmp_path):
 
 
 def test_non_utf8_video_id_rejected(tmp_path):
+    # ids are JSON in the header: a byte that is not UTF-8 there fails the
+    # header's parse, and any other change to an id fails the digest
     path = tmp_path / "u.features"
     data.write_features(make_partition([("v0", [[1.0, 2.0]], (0,)),
                                         ("v1", [[3.0, 4.0]], (1,))]), path)
-    blob = bytearray(path.read_bytes())
-    second = 24 + 2 + 2 + 6 + 4 + 8 + 2  # v0's record, v1's id length
-    blob[second] = 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(data.DataFormatError,
-                       match="id of video 1 is not UTF-8") as err:
-        data.read_features(path)
-    assert str(path) in str(err.value)
+    blob = path.read_bytes()
+    at = blob.index(b'"v1"') + 1
+    for byte, what in ((0xFF, "malformed header"), (ord("w"), "sha256")):
+        path.write_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
+        with pytest.raises(data.DataFormatError, match=what) as err:
+            data.read_features(path)
+        assert str(path) in str(err.value)
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -98,16 +108,45 @@ def test_trailing_bytes_rejected(tmp_path):
 
 
 def test_zero_frame_video_rejected(tmp_path):
-    # a header may claim zero frames; the reader refuses it, naming the file
+    # a well-formed container may give a video zero frames; the reader
+    # refuses it, naming the file
     path = tmp_path / "z.features"
-    data.write_features(make_partition([("v0", [[1.0, 2.0]], (0,)),
-                                        ("v1", [[3.0, 4.0]], (1,))]), path)
-    blob = bytearray(path.read_bytes())
-    first = 24 + 2 + 2  # header, id length, "v0"
-    blob[first:first + 4] = (0).to_bytes(4, "little")
-    del blob[first + 10:first + 18]  # v0's one frame
-    path.write_bytes(bytes(blob))
+    data.save_videos(path, "features",
+                     {"frames": np.ones((1, 2), dtype="<f4"),
+                      "offsets": np.array([0, 0, 1], dtype="<i8")},
+                     ["v0", "v1"], [{0}, {1}])
     with pytest.raises(data.DataFormatError, match="at least one frame") as err:
+        data.read_features(path)
+    assert str(path) in str(err.value)
+
+
+def _bad_videos(ids=("a", "b"), counts=(1, 1), labels=(0, 1)):
+    return ({"label_counts": np.asarray(counts), "labels": np.asarray(labels)},
+            {"video_ids": list(ids)})
+
+
+@pytest.mark.parametrize("videos,match", [
+    (_bad_videos(counts=(1,)), "a count per video"),
+    (_bad_videos(counts=(1, 2)), "a count per video"),
+    (_bad_videos(counts=(2, -1)), "non-negative"),
+    (_bad_videos(labels=(0, -1)), "non-negative"),
+    (_bad_videos(labels=(0.0, 1.0)), "integers"),
+    (_bad_videos(ids=("a", "a")), "video a is listed twice"),
+    (_bad_videos(ids=("a", 3)), "string video ids"),
+    (({"labels": np.array([0, 1])}, {"video_ids": ["a", "b"]}), "integers"),
+    (({"label_counts": np.array([1, 1]), "labels": np.array([0, 1])}, {}),
+     "string video ids"),
+], ids=["short-counts", "counts-past-labels", "negative-count",
+        "negative-label", "float-labels", "listed-twice", "non-string-id",
+        "no-counts", "no-ids"])
+def test_header_videos_checked(tmp_path, videos, match):
+    # containers another writer got wrong, under a valid digest
+    arrays, meta = videos
+    path = tmp_path / "h.features"
+    io.save(path, "features",
+            dict(arrays, frames=np.ones((2, 2), dtype="<f4"),
+                 offsets=np.array([0, 1, 2], dtype="<i8")), meta)
+    with pytest.raises(data.DataFormatError, match=match) as err:
         data.read_features(path)
     assert str(path) in str(err.value)
 
@@ -118,8 +157,9 @@ def test_version_mismatch(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[8] = 99
     path.write_bytes(bytes(blob))
-    with pytest.raises(data.DataFormatError, match="version"):
+    with pytest.raises(data.DataFormatError, match="version 99") as err:
         data.read_features(path)
+    assert str(path) in str(err.value)
 
 
 def test_partition_views_and_slice():
@@ -208,9 +248,13 @@ def test_vocab_invariants():
 
 
 def test_manifest_roundtrip(tmp_path):
-    m = data.DatasetManifest(partition="train", example_count=5,
-                             feature_dim=8, paths=["a", "b"],
-                             extra={"seed": "7"})
-    m.write(tmp_path / "m.txt")
-    back = data.DatasetManifest.read(tmp_path / "m.txt")
-    assert back == m
+    # what the manifest held (seed, config hash, flags) is the header's
+    # meta now, given back as the partition's `meta`; slices keep it
+    meta = {"seed": 7, "config_hash": "ab12", "whitened": True,
+            "quantized": False, "space": "0" * 64}
+    part = make_partition([("v0", [[1.0, 2.0]], (0,)),
+                           ("v1", [[3.0, 4.0]], (1,))])
+    data.write_features(part, tmp_path / "m.features", meta)
+    back = data.read_features(tmp_path / "m.features")
+    assert back.meta == meta
+    assert back.slice(1, 2).meta == meta

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 from vidbase import encoders as enc
+from vidbase import io
 
 
 def planted_clusters(seed, centers, per_cluster=200, scale=0.05):
@@ -145,18 +146,25 @@ def test_vlad_tie_goes_to_lowest_index():
 
 
 def test_codebook_file_roundtrips(tmp_path):
+    # float64 arrays and the fit's traces: the constructor gets the same
+    # codebook back, with its diagnostics
     rng = np.random.default_rng(10)
     x = rng.standard_normal((300, 4))
     gmm = enc.fit_gmm(x, 2, seed=10)
     enc.save_gmm(gmm, tmp_path / "g.gmm")
-    back = enc.load_gmm(tmp_path / "g.gmm")
-    assert np.allclose(back.means, gmm.means, atol=1e-5)
-    assert abs(back.weights.sum() - 1.0) <= 1e-9
+    back = enc.GmmCodebook(**io.load(tmp_path / "g.gmm", "gmm").arrays)
+    for name in ("weights", "means", "variances"):
+        assert np.array_equal(getattr(back, name), getattr(gmm, name))
+    assert len(gmm.log_likelihoods) > 1
+    assert back.log_likelihoods.tolist() == gmm.log_likelihoods
 
     km = enc.fit_kmeans(x, 3, seed=10)
     enc.save_kmeans(km, tmp_path / "k.kms")
-    back_km = enc.load_kmeans(tmp_path / "k.kms")
-    assert np.allclose(back_km.centers, km.centers, atol=1e-5)
+    back_km = enc.KmeansCodebook(**io.load(tmp_path / "k.kms",
+                                           "kmeans").arrays)
+    assert np.array_equal(back_km.centers, km.centers)
+    assert len(km.sse_trace) > 1
+    assert back_km.sse_trace.tolist() == km.sse_trace
 
 
 def test_gmm_requires_enough_samples():

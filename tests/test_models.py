@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import expit, logsumexp
 
+from vidbase import io
 from vidbase import models as M
+from vidbase.io import DataFormatError
 
 FD_STEP = 1e-5
 
@@ -218,32 +220,13 @@ def test_stack_models_round_trips_labels(kind):
     rng = np.random.default_rng(15)
     m = random_stack(kind, rng, 3, 4)
     labels = [m.label(k) for k in range(3)]
-    back = M.stack_models(labels, names=["a", "b", "c"])
+    back = M.stack_models(labels)
     assert back.n_labels == 3
     for (got, _), (want, _) in zip(back.params, m.params):
         assert np.array_equal(got, want)
     # label() copies: updating the copy leaves the stack alone
     labels[0].params[0][0][...] = 0.0
     assert np.array_equal(back.params[0][0], m.params[0][0])
-
-
-def test_stack_models_names_first_mismatch():
-    logistic = M.LogisticModel.zeros(4)
-    with pytest.raises(M.ModelFormatError, match="^b: .* differs from a"):
-        M.stack_models([logistic, M.HingeModel.zeros(4), logistic],
-                       names=["a", "b", "c"])
-    with pytest.raises(M.ModelFormatError, match="^c: "):
-        M.stack_models([logistic, logistic, M.LogisticModel.zeros(5)],
-                       names=["a", "b", "c"])
-    moe = M.MoEModel.zeros(4, n_experts=2)
-    with pytest.raises(M.ModelFormatError, match="^b: "):
-        M.stack_models([moe, M.MoEModel.zeros(4, n_experts=3)],
-                       names=["a", "b"])
-
-
-def test_serialize_rejects_a_stack():
-    with pytest.raises(ValueError, match="one label"):
-        M.serialize_model(M.LogisticModel.zeros(4, n_labels=2))
 
 
 # ------------------------------------------------------------- logistic
@@ -371,11 +354,24 @@ def random_models(rng):
     return [logistic, hinge, moe]
 
 
-def test_serialization_roundtrip_identity():
+def _bank_file(tmp_path, model, name="m.bank"):
+    """A bank container holding `model`, as train writes one."""
+    arrays, settings = M.serialize_model(model)
+    path = tmp_path / name
+    io.save(path, "bank", arrays, {"params": settings})
+    return path
+
+
+def _load_model(path):
+    container = io.load(path, "bank")
+    return M.deserialize_model(container.arrays, container.meta["params"])
+
+
+def test_serialization_roundtrip_identity(tmp_path):
     rng = np.random.default_rng(9)
     for _ in range(20):
         for model in random_models(rng):
-            back = M.deserialize_model(M.serialize_model(model))
+            back = _load_model(_bank_file(tmp_path, model))
             assert back.kind == model.kind
             assert back.l2 == model.l2
             if model.kind == M.KIND_MOE:
@@ -390,47 +386,78 @@ def test_serialization_roundtrip_identity():
                     assert back.margin == model.margin
 
 
-def test_serialization_prediction_invariance():
+@pytest.mark.parametrize("kind", ["logistic", "hinge", "moe"])
+def test_serialization_roundtrips_a_stack(tmp_path, kind):
+    # a bank is one stacked model: its arrays come back bit for bit, as
+    # float64 views of the file's buffer
+    m = random_stack(kind, np.random.default_rng(16), 5, 3, l2=3e-7)
+    back = _load_model(_bank_file(tmp_path, m))
+    assert back.n_labels == 5 and back.l2 == m.l2
+    for name in m.ARRAYS:
+        got = getattr(back, name)
+        assert got.dtype == np.float64
+        assert got.tobytes() == getattr(m, name).tobytes()
+
+
+def test_serialization_prediction_invariance(tmp_path):
     rng = np.random.default_rng(10)
     x = M.add_bias(rng.standard_normal((20, 4)))
     m = M.MoEModel(gating=rng.standard_normal((1, 2, 5)),
                    experts=rng.standard_normal((1, 2, 5)))
-    back = M.deserialize_model(M.serialize_model(m))
+    back = _load_model(_bank_file(tmp_path, m))
     assert np.array_equal(M.moe_predict(m, x), M.moe_predict(back, x))
 
 
-def test_truncated_payload_rejected():
-    m = M.LogisticModel.zeros(4)
-    blob = M.serialize_model(m)
-    with pytest.raises(M.ModelFormatError):
-        M.deserialize_model(blob[:-8])
+def test_truncated_payload_rejected(tmp_path):
+    path = _bank_file(tmp_path, M.LogisticModel.zeros(4))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(DataFormatError, match="truncated"):
+        _load_model(path)
 
 
 @pytest.mark.parametrize("model", [M.LogisticModel.zeros(4),
                                    M.HingeModel.zeros(4),
                                    M.MoEModel.zeros(4, n_experts=2)],
                          ids=["logistic", "hinge", "moe"])
-def test_damaged_payload_rejected(model):
-    blob = M.serialize_model(model)
-    for size in (10, 20, len(blob) - 1):
-        with pytest.raises(M.ModelFormatError, match="truncated"):
-            M.deserialize_model(blob[:size])
-    with pytest.raises(M.ModelFormatError, match="8 trailing bytes"):
-        M.deserialize_model(blob + b"\0" * 8)
+def test_damaged_payload_rejected(tmp_path, model):
+    path = _bank_file(tmp_path, model)
+    blob = path.read_bytes()
+    for size in (10, 30, len(blob) - 1):
+        path.write_bytes(blob[:size])
+        with pytest.raises(DataFormatError, match="truncated") as err:
+            _load_model(path)
+        assert str(path) in str(err.value)
+    path.write_bytes(blob + b"\0" * 8)
+    with pytest.raises(DataFormatError, match="8 trailing bytes"):
+        _load_model(path)
 
 
-def test_bad_magic_rejected():
-    with pytest.raises(M.ModelFormatError, match="bad magic"):
-        M.deserialize_model(b"WRONGMAG" + b"\x00" * 64)
+def test_bad_magic_rejected(tmp_path):
+    path = tmp_path / "x.bank"
+    path.write_bytes(b"WRONGMAG" + b"\x00" * 64)
+    with pytest.raises(DataFormatError, match="bad magic"):
+        _load_model(path)
 
 
 def test_zero_expert_moe_rejected():
     m = M.MoEModel.zeros(3, n_experts=1)
-    blob = bytearray(M.serialize_model(m))
-    # zero out the H field (after magic + version + kind + D)
-    blob[17:21] = (0).to_bytes(4, "little")
-    with pytest.raises(M.ModelFormatError, match="H >= 1"):
-        M.deserialize_model(bytes(blob))
+    arrays, settings = M.serialize_model(m)
+    arrays = {name: a[:, :0] for name, a in arrays.items()}
+    with pytest.raises(ValueError, match="at least one expert"):
+        M.deserialize_model(arrays, settings)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda arrays, settings: settings.pop("kind"),
+    lambda arrays, settings: settings.update(kind=9),
+    lambda arrays, settings: settings.pop("margin"),
+    lambda arrays, settings: arrays.pop("grad_sq"),
+], ids=["no-kind", "unknown-kind", "no-margin", "no-array"])
+def test_deserialize_rejects_incomplete_model(edit):
+    arrays, settings = M.serialize_model(M.HingeModel.zeros(3))
+    edit(arrays, settings)
+    with pytest.raises(DataFormatError, match="a model needs"):
+        M.deserialize_model(arrays, settings)
 
 
 # ------------------------------------------------------------- sigmoid

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vidbase import io
 from vidbase import preprocess as pp
 
 
@@ -161,22 +162,30 @@ def test_whiten_quantize_reconstruct_roundtrip():
 
 
 def test_transform_file_roundtrip(tmp_path):
+    # stored as float32 (the descriptors depend on these bits), read back
+    # as float64
     rng = np.random.default_rng(12)
     t = pp.fit_whitening(rng.standard_normal((200, 4)), d_out=3)
-    pp.save_transform(t, tmp_path / "t.pca")
-    back = pp.load_transform(tmp_path / "t.pca")
+    digest = pp.save_transform(t, tmp_path / "t.pca")
+    back, back_digest = pp.load_transform(tmp_path / "t.pca")
+    assert back_digest == digest
     assert back.dim == 4 and back.dim_out == 3
-    assert np.allclose(back.mean, t.mean, atol=1e-6)
-    assert np.allclose(back.matrix, t.matrix, rtol=1e-6, atol=1e-5)
+    assert back.matrix.dtype == np.float64
+    assert np.array_equal(back.mean, t.mean.astype(np.float32))
+    assert np.array_equal(back.matrix, t.matrix.astype(np.float32))
 
 
 def test_quantizer_file_roundtrip(tmp_path):
+    # float64 on disk: the constructor gets the same quantizer back, even
+    # a constant column's nextafter chain of boundaries
     rng = np.random.default_rng(13)
     sample = rng.standard_normal((5000, 2))
-    sample[:, 1] = 0.1  # a nextafter chain of boundaries, collapsed by f4
+    sample[:, 1] = 0.1
     q = pp.fit_quantizer(sample)
     pp.save_quantizer(q, tmp_path / "q.qnt")
-    back = pp.load_quantizer(tmp_path / "q.qnt")
+    back = pp.Quantizer(**io.load(tmp_path / "q.qnt", "quantizer").arrays)
+    assert np.array_equal(back.boundaries, q.boundaries)
+    assert np.array_equal(back.reconstruction, q.reconstruction)
     x = rng.standard_normal((100, 2))
     assert np.array_equal(pp.quantize(back, x.astype(np.float32)),
                           pp.quantize(q, x.astype(np.float32)))
