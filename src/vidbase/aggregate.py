@@ -12,27 +12,25 @@ DEFAULT_TOP_K = 5
 
 
 def aggregate_mean_std(frames):
-    """Per-dimension mean and population (1/F) standard deviation."""
+    """Per-dimension mean and population (1/F) standard deviation over the
+    frames of axis -2; leading axes are a stack of videos."""
     x = np.asarray(frames, dtype=np.float64)
-    mean = x.mean(axis=0)
-    std = np.sqrt(np.mean((x - mean) ** 2, axis=0))
+    mean = x.mean(axis=-2)
+    std = np.sqrt(np.mean((x - mean[..., None, :]) ** 2, axis=-2))
     return mean, std
 
 
 def aggregate_topk(frames, k):
-    """K largest values per dimension, descending; when F < K the missing
-    slots are padded with that dimension's minimum observed value."""
+    """K largest values per dimension over the frames of axis -2, descending;
+    when F < K the last slots repeat the dimension's minimum."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(frames, dtype=np.float64)
-    n_frames, dim = x.shape
-    ordered = -np.sort(-x, axis=0)
-    if n_frames >= k:
-        top = ordered[:k]
-    else:
-        pad = np.repeat(ordered[-1:], k - n_frames, axis=0)
-        top = np.concatenate([ordered, pad], axis=0)
-    return top.T.reshape(k * dim)  # dim-major: K values per dimension
+    *stack, n_frames, dim = x.shape
+    ordered = -np.sort(-x, axis=-2)
+    top = ordered[..., np.minimum(np.arange(k), n_frames - 1), :]
+    # dim-major: K values per dimension
+    return np.swapaxes(top, -1, -2).reshape(*stack, k * dim)
 
 
 def descriptor_layout(dim, k):
@@ -42,9 +40,10 @@ def descriptor_layout(dim, k):
 
 
 def build_descriptor(frames, k=DEFAULT_TOP_K):
-    """One video's descriptor values, in descriptor_layout order."""
+    """Descriptor values in descriptor_layout order of a video's (F, D)
+    frames, or of each video of an (..., F, D) stack, bit for bit."""
     mean, std = aggregate_mean_std(frames)
-    return np.concatenate([mean, std, aggregate_topk(frames, k)])
+    return np.concatenate([mean, std, aggregate_topk(frames, k)], axis=-1)
 
 
 def fit_global_normalizer(descriptors):

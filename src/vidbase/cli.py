@@ -23,6 +23,7 @@ EXIT_NUMERIC = 3
 
 PARTITIONS = ("train", "validate", "test")
 BANK_FILE = "bank.bin"
+STACK_ELEMENTS = 1 << 15  # float64 values in one stack of stats encode
 
 
 class UsageError(Exception):
@@ -180,14 +181,6 @@ def cmd_preprocess(args):
     return EXIT_OK
 
 
-def _describe(partition, describe, width):
-    """(V, width) matrix of describe(frames) over the partition's videos."""
-    out = np.empty((len(partition), width))
-    for i, frames in enumerate(partition.videos()):
-        out[i] = describe(frames)
-    return out
-
-
 def _encode_stats(args, partitions):
     # std and Top_K are more meaningful in the original activation space,
     # so whitened inputs are mapped back before aggregation
@@ -198,16 +191,25 @@ def _encode_stats(args, partitions):
         transform, digest = preprocess.load_transform(path)
         _check_space(meta, _features_path(args.data, "train"), digest, path)
 
-    def describe(frames):
-        if transform is not None:
-            frames = preprocess.invert_whitening(transform, frames)
-        return aggregate.build_descriptor(frames, k=args.topk)
-
     dim = partitions["train"].dim if transform is None else transform.dim
     layout = aggregate.descriptor_layout(dim, args.topk)
     width = (2 + args.topk) * dim
-    descriptors = {part: _describe(partition, describe, width)
-                   for part, partition in partitions.items()}
+    descriptors = {}
+    for part, p in partitions.items():
+        # the videos of one frame count go a stack at a time, at most
+        # STACK_ELEMENTS values each: a video in a stack gets the bits it
+        # gets alone
+        counts = np.diff(p.offsets)
+        matrix = descriptors[part] = np.empty((len(p), width))
+        for n_frames in np.unique(counts).tolist():
+            videos = np.flatnonzero(counts == n_frames)
+            step = max(1, STACK_ELEMENTS // (n_frames * dim))
+            for start in range(0, len(videos), step):
+                rows = videos[start:start + step]
+                stack = p.frames[p.offsets[rows, None] + np.arange(n_frames)]
+                if transform is not None:
+                    stack = preprocess.invert_whitening(transform, stack)
+                matrix[rows] = aggregate.build_descriptor(stack, k=args.topk)
     normalizer = aggregate.fit_global_normalizer(descriptors["train"])
     space = preprocess.save_transform(normalizer,
                                       os.path.join(args.out, "normalizer.pca"))

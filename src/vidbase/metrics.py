@@ -6,9 +6,12 @@ Brute-force reference implementations of every metric live in
 :mod:`vidbase.reference`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .data import label_matrix
 
 N_BUCKETS = 10_000
 
@@ -42,6 +45,13 @@ class PredictionSet:
     @property
     def n_labels(self):
         return self.scores.shape[1]
+
+    @cached_property
+    def rankings(self):
+        """Per video, the label ids ordered by descending score, ties by
+        ascending label id, (V, L); sorted once per set."""
+        ids = np.broadcast_to(np.arange(self.n_labels), self.scores.shape)
+        return np.lexsort((ids, -self.scores), axis=1)
 
 
 @dataclass
@@ -99,10 +109,7 @@ def mean_average_precision(predictions):
     """Unweighted mean AP over classes with at least one positive video."""
     per_class = {}
     skipped = 0
-    truth_matrix = np.zeros(predictions.scores.shape, dtype=bool)
-    for v, g in enumerate(predictions.truths):
-        for e in g:
-            truth_matrix[v, e] = True
+    truth_matrix = label_matrix(predictions.truths, predictions.n_labels) > 0
     for e in range(predictions.n_labels):
         if not truth_matrix[:, e].any():
             skipped += 1
@@ -115,21 +122,13 @@ def mean_average_precision(predictions):
     return mean_ap, per_class, skipped
 
 
-def _rankings(predictions):
-    """Per video, the label ids ordered by descending score, ties by
-    ascending label id, (V, L)."""
-    scores = predictions.scores
-    ids = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
-    return np.lexsort((ids, -scores), axis=1)
-
-
 def hit_at_k(predictions, k, include_empty=False):
     """Fraction of videos with a ground-truth label in the top k. Videos
     with empty ground truth are excluded from the denominator unless
     `include_empty` is set (they can never hit)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    tops = _rankings(predictions)[:, :k].tolist()
+    tops = predictions.rankings[:, :k].tolist()
     hits = [any(e in g for e in top)
             for g, top in zip(predictions.truths, tops) if g or include_empty]
     if not hits:
@@ -141,7 +140,7 @@ def perr(predictions):
     """Precision at equal recall rate: per video with nonempty ground
     truth, the fraction of its labels within the top |G_v| predictions."""
     total, denom = 0.0, 0
-    for g, ranking in zip(predictions.truths, _rankings(predictions)):
+    for g, ranking in zip(predictions.truths, predictions.rankings):
         if g:
             denom += 1
             total += len(g.intersection(ranking[:len(g)].tolist())) / len(g)

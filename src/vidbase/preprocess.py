@@ -110,22 +110,19 @@ def fit_whitening(frames, d_out, eps=EIG_EPS):
 
 
 def apply_whitening(transform, x, l2_normalize=True):
-    """z = A(x - mu), optionally L2-normalized. Accepts a vector or a
-    (N, D) matrix. A zero projection with l2_normalize set stays zero
-    (with a warning)."""
-    x = np.asarray(x)
-    single = x.ndim == 1
-    batch = np.atleast_2d(x)
+    """z = A(x - mu), optionally L2-normalized, of a vector or an (N, D)
+    matrix. A zero projection with l2_normalize set stays zero (with a
+    warning)."""
     # centering casts to float64 on the fly: no float64 copy of x
-    z = np.subtract(batch, transform.mean, dtype=np.float64) @ transform.matrix.T
+    z = np.subtract(x, transform.mean, dtype=np.float64) @ transform.matrix.T
     if l2_normalize:
-        norms = np.linalg.norm(z, axis=1)
+        norms = np.linalg.norm(z, axis=-1, keepdims=True)
         zero = norms == 0.0
         if np.any(zero):
             warnings.warn("zero vector after projection; left unnormalized")
             norms = np.where(zero, 1.0, norms)
-        z = z / norms[:, None]
-    return z[0] if single else z
+        z = z / norms
+    return z
 
 
 def _strictly_increasing(b):
@@ -173,12 +170,20 @@ def fit_quantizer(values, refine_iterations=10):
         raise ValueError("values must be a non-empty (N, D) sample")
     dim = values.shape[1]
 
-    probs = np.arange(1, N_CODES) / N_CODES
+    # the j/256 quantiles of a sorted column with np.quantile's "linear"
+    # bits: values at lo and hi weighted by t (numpy's t is 1 when n = 1)
+    n = values.shape[0]
+    at = (n - 1) * (np.arange(1, N_CODES) / N_CODES)
+    lo = np.floor(at).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    t = at - lo if n > 1 else np.ones_like(at)
     boundaries = np.empty((dim, N_CODES - 1), dtype=np.float64)
     reconstruction = np.empty((dim, N_CODES), dtype=np.float64)
     for j in range(dim):
         padded = np.append(np.sort(values[:, j]), 0.0)
-        b = _strictly_increasing(np.quantile(padded[:-1], probs))
+        a, b = padded[lo], padded[hi]
+        b = _strictly_increasing(np.where(t >= 0.5, b - (b - a) * (1 - t),
+                                          a + (b - a) * t))
         rec = _bin_representatives(padded, b)
         for _ in range(refine_iterations):
             b = _strictly_increasing(0.5 * (rec[:-1] + rec[1:]))
@@ -216,21 +221,15 @@ def quantize(quantizer, x):
 def dequantize(quantizer, codes):
     """Per-dimension reconstruction values for the given codes."""
     codes = np.asarray(codes)
-    single = codes.ndim == 1
-    batch = np.atleast_2d(codes)
-    if batch.shape[1] != quantizer.dim:
+    if codes.shape[-1] != quantizer.dim:
         raise ValueError("dimension mismatch")
-    out = quantizer.reconstruction[np.arange(quantizer.dim), batch]
-    return out[0] if single else out
+    return quantizer.reconstruction[np.arange(quantizer.dim), codes]
 
 
 def invert_whitening(transform, z):
-    """x = A^+ z + mu (pseudo-inverse; equals A^T z + mu for orthonormal A)."""
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    batch = np.atleast_2d(z)
-    x = batch @ transform.pinv.T + transform.mean
-    return x[0] if single else x
+    """x = A^+ z + mu (pseudo-inverse; equals A^T z + mu for orthonormal A)
+    of a vector, an (N, d) matrix or a stack of them on leading axes."""
+    return np.asarray(z, dtype=np.float64) @ transform.pinv.T + transform.mean
 
 
 def save_transform(transform, path):

@@ -100,6 +100,25 @@ def test_length_formula():
             assert len(agg.build_descriptor(frames, k=k)) == dim * (2 + k)
 
 
+@pytest.mark.parametrize("n_frames,dim,k", [(1, 4, 5), (3, 4, 5), (5, 4, 5),
+                                             (12, 6, 2), (40, 1, 3)])
+def test_stack_gives_each_video_its_own_bits(n_frames, dim, k):
+    # a stack of equal-length videos is described in one call; every row
+    # must be the video's descriptor alone, bit for bit (F = 1, F < K
+    # padding and D = 1 included)
+    rng = np.random.default_rng(10)
+    stack = (rng.standard_normal((7, n_frames, dim)) * 3).astype(np.float32)
+    stack[2] = stack[2, :1]  # ties within a video
+    got = agg.build_descriptor(stack, k=k)
+    assert got.shape == (7, (2 + k) * dim)
+    for video, row in zip(stack, got):
+        assert row.view(np.int64).tolist() == \
+            agg.build_descriptor(video, k=k).view(np.int64).tolist()
+    # any leading axes: a (2, 7, F, D) stack is two (7, F, D) stacks
+    twice = agg.build_descriptor(np.stack([stack, stack[::-1]]), k=k)
+    assert twice.tobytes() == np.stack([got, got[::-1]]).tobytes()
+
+
 def test_global_normalizer():
     rng = np.random.default_rng(7)
     sample = np.asarray([agg.build_descriptor(rng.standard_normal((10, 3)), k=2)

@@ -1,4 +1,7 @@
 import hashlib
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -206,6 +209,100 @@ def test_encode_stats_matches_fresh_pinv_per_video(preprocessed, tmp_path,
                "--method", "stats") == cli.EXIT_OK
     for name in sorted(os.listdir(fresh)):
         assert (cached / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def _per_video_encode_stats(args, partitions):
+    # the stats encoder as one loop over single videos: each video's frames
+    # inverted and described on their own
+    transform = None
+    if partitions["train"].meta.get("whitened"):
+        transform, _ = preprocess.load_transform(
+            os.path.join(args.data, "transform.pca"))
+    dim = partitions["train"].dim if transform is None else transform.dim
+    descriptors = {}
+    for part, partition in partitions.items():
+        descs = descriptors[part] = np.empty((len(partition),
+                                              (2 + args.topk) * dim))
+        for i, frames in enumerate(partition.videos()):
+            if transform is not None:
+                frames = preprocess.invert_whitening(transform, frames)
+            descs[i] = aggregate.build_descriptor(frames, k=args.topk)
+    normalizer = aggregate.fit_global_normalizer(descriptors["train"])
+    space = preprocess.save_transform(normalizer,
+                                      os.path.join(args.out, "normalizer.pca"))
+    layout = aggregate.descriptor_layout(dim, args.topk)
+    out = {part: (preprocess.apply_whitening(normalizer, d), layout)
+           for part, d in descriptors.items()}
+    extras = {"reconstructed": "1" if transform is not None else "0",
+              "quantized_input": "1" if partitions["train"].meta.get(
+                  "quantized") else "0"}
+    return out, extras, space
+
+
+@pytest.fixture(scope="module")
+def short_prep(tmp_path_factory):
+    # 1 to 6 frames per video: single-frame videos and, at --topk 5,
+    # videos padded to K
+    src = tmp_path_factory.mktemp("short")
+    assert run("gen-synthetic", "--out", str(src), "--seed", "3",
+               "--labels", "3", "--videos", "90", "--dim", "6",
+               "--frames-min", "1", "--frames-max", "6") == cli.EXIT_OK
+    out = tmp_path_factory.mktemp("short_prep")
+    assert run("preprocess", "--data", str(src), "--out", str(out)) \
+        == cli.EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("case", ["short-videos", "many-stacks", "raw"])
+def test_encode_stats_bytes_equal_per_video_loop(case, request, tmp_path,
+                                                 monkeypatch):
+    data_dir = request.getfixturevalue(
+        {"short-videos": "short_prep", "many-stacks": "preprocessed",
+         "raw": "corpus"}[case])
+    if case == "many-stacks":
+        # 1 to 3 videos of 4 to 12 frames of dimension 8 per stack: every
+        # frame count spans several stacks
+        monkeypatch.setattr(cli, "STACK_ELEMENTS", 100)
+    argv = ["encode", "--data", str(data_dir), "--method", "stats",
+            "--topk", "5", "--out"]
+    assert run(*argv, str(tmp_path / "stacked")) == cli.EXIT_OK
+    monkeypatch.setattr(cli, "_encode_stats", _per_video_encode_stats)
+    assert run(*argv, str(tmp_path / "per_video")) == cli.EXIT_OK
+    names = sorted(os.listdir(tmp_path / "per_video"))
+    assert names == sorted(os.listdir(tmp_path / "stacked"))
+    assert len(names) == 5
+    for name in names:
+        assert (tmp_path / "stacked" / name).read_bytes() == \
+            (tmp_path / "per_video" / name).read_bytes(), name
+
+
+def _perfbench_module(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_traced_names_are_functions(preprocessed, tmp_path,
+                                              monkeypatch):
+    # the benchmark's tracer wraps these by name, and a traced `wide` run
+    # fails unless encode --method stats calls the last two
+    for module, names in _perfbench_module("tracer").TRACED.items():
+        for name in names:
+            assert inspect.isfunction(getattr(
+                importlib.import_module("vidbase." + module), name, None)), \
+                "vidbase.%s.%s" % (module, name)
+    calls = []
+    for module, name in ((preprocess, "invert_whitening"),
+                         (aggregate, "build_descriptor")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name,
+                            **kw: calls.append(_n) or _f(*a, **kw))
+    assert run("encode", "--data", str(preprocessed), "--out",
+               str(tmp_path / "d"), "--method", "stats") == cli.EXIT_OK
+    assert {"invert_whitening", "build_descriptor"} == set(calls)
 
 
 def test_encode_stats_dimension(corpus, tmp_path):

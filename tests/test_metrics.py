@@ -213,7 +213,7 @@ def test_rankings_match_per_video_reference():
     rng = np.random.default_rng(17)
     for _ in range(100):
         p = random_pset(rng)
-        rankings = mt._rankings(p)
+        rankings = p.rankings
         for v in range(len(p.video_ids)):
             assert rankings[v].tolist() == \
                 _ranking_reference(p.scores[v]).tolist()
@@ -221,6 +221,20 @@ def test_rankings_match_per_video_reference():
             for k in (1, 2, p.n_labels):
                 assert mt.hit_at_k(p, k) == _hit_at_k_reference(p, k)
             assert mt.perr(p) == _perr_reference(p)
+
+
+def test_evaluate_ranks_a_set_once(monkeypatch):
+    # Hit@1, Hit@5 and PERR share one lexsort of the (V, L) scores
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort",
+                        lambda *a, **kw: calls.append(1) or lexsort(*a, **kw))
+    p = random_pset(np.random.default_rng(18))
+    p = pset(p.scores, [frozenset({0})] + p.truths[1:])
+    report = mt.evaluate(p)
+    assert len(calls) == 1
+    assert report.hit_at_k == {k: _hit_at_k_reference(p, k) for k in (1, 5)}
+    assert report.perr == _perr_reference(p)
 
 
 def _write_predictions_reference(predictions, path):

@@ -380,6 +380,48 @@ def test_ties_sample_has_trailing_empty_bins():
     assert codes.max() < pp.N_CODES - 1
 
 
+def _quantile_fit_quantizer(values, refine_iterations=10):
+    # fit_quantizer with its initial boundaries from np.quantile on each
+    # sorted column
+    probs = np.arange(1, pp.N_CODES) / pp.N_CODES
+    boundaries, reconstruction = [], []
+    for column in values.T:
+        padded = np.append(np.sort(column), 0.0)
+        b = pp._strictly_increasing(np.quantile(padded[:-1], probs))
+        rec = pp._bin_representatives(padded, b)
+        for _ in range(refine_iterations):
+            b = pp._strictly_increasing(0.5 * (rec[:-1] + rec[1:]))
+            rec = pp._bin_representatives(padded, b)
+        boundaries.append(b)
+        reconstruction.append(rec)
+    return np.array(boundaries), np.array(reconstruction)
+
+
+@pytest.mark.parametrize("case", ["ties", "constant", "n1", "n2", "n3",
+                                  "n257", "normal"])
+def test_fit_quantizer_quantiles_bit_equal_np_quantile(case):
+    rng = np.random.default_rng(23)
+    sample = {
+        "ties": lambda: _ties_sample(rng),
+        "constant": lambda: np.full((300, 2), -1.5),
+        # numpy keeps a single -0.0 as it is
+        "n1": lambda: np.array([[rng.standard_normal(), -0.0, 0.0]]),
+        "n2": lambda: rng.standard_normal((2, 3)),
+        "n3": lambda: rng.standard_normal((3, 3)),
+        "n257": lambda: rng.standard_normal((257, 3)),
+        "normal": lambda: rng.standard_normal((5000, 4)),
+    }[case]()
+    q = pp.fit_quantizer(sample)
+    boundaries, reconstruction = _quantile_fit_quantizer(sample)
+    assert q.boundaries.view(np.int64).tolist() == \
+        boundaries.view(np.int64).tolist()
+    assert q.reconstruction.view(np.int64).tolist() == \
+        reconstruction.view(np.int64).tolist()
+    # the initial quantiles alone, before any Lloyd pass
+    assert pp.fit_quantizer(sample, refine_iterations=0).boundaries.tobytes() \
+        == _quantile_fit_quantizer(sample, refine_iterations=0)[0].tobytes()
+
+
 def test_invert_whitening_computes_pinv_once(monkeypatch):
     calls = []
     pinv = np.linalg.pinv
