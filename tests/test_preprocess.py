@@ -397,20 +397,20 @@ def _quantile_fit_quantizer(values, refine_iterations=10):
     return np.array(boundaries), np.array(reconstruction)
 
 
-@pytest.mark.parametrize("case", ["ties", "constant", "n1", "n2", "n3",
-                                  "n257", "normal"])
+SMALL_SAMPLES = {
+    "n2": lambda rng: rng.standard_normal((2, 3)),
+    "n3": lambda rng: rng.standard_normal((3, 3)),
+    # numpy keeps a lone -0.0 as it is
+    "n1-signed-zeros": lambda rng: np.array([[rng.standard_normal(), -0.0,
+                                              0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUANTIZER_SAMPLES)
+                         + sorted(SMALL_SAMPLES))
 def test_fit_quantizer_quantiles_bit_equal_np_quantile(case):
     rng = np.random.default_rng(23)
-    sample = {
-        "ties": lambda: _ties_sample(rng),
-        "constant": lambda: np.full((300, 2), -1.5),
-        # numpy keeps a single -0.0 as it is
-        "n1": lambda: np.array([[rng.standard_normal(), -0.0, 0.0]]),
-        "n2": lambda: rng.standard_normal((2, 3)),
-        "n3": lambda: rng.standard_normal((3, 3)),
-        "n257": lambda: rng.standard_normal((257, 3)),
-        "normal": lambda: rng.standard_normal((5000, 4)),
-    }[case]()
+    sample = {**QUANTIZER_SAMPLES, **SMALL_SAMPLES}[case](rng)
     q = pp.fit_quantizer(sample)
     boundaries, reconstruction = _quantile_fit_quantizer(sample)
     assert q.boundaries.view(np.int64).tolist() == \
