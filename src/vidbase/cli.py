@@ -56,8 +56,10 @@ def _write_report(path, pairs):
 
 
 def _read_vocab(dirpath):
+    """The label count of `dirpath`'s vocab.txt: one `<label id> <name>`
+    line per label, ids 0..L-1 in order, names distinct, at least one."""
     path = os.path.join(dirpath, "vocab.txt")
-    labels = []
+    names = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
@@ -66,11 +68,14 @@ def _read_vocab(dirpath):
             if len(parts) != 2 or not parts[0].isdecimal():
                 raise ValueError("%s line %d: expected '<label id> <name>', "
                                  "got %r" % (path, lineno, line.strip()))
-            labels.append((int(parts[0]), parts[1]))
-    try:
-        return data.LabelVocabulary(tuple(labels))
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from exc
+            if int(parts[0]) != len(names) or parts[1] in names:
+                raise ValueError("%s line %d: label ids must be dense in "
+                                 "[0, L) and in order, and names distinct; "
+                                 "got %r" % (path, lineno, line.strip()))
+            names.add(parts[1])
+    if not names:
+        raise ValueError("%s: the vocabulary has no label" % path)
+    return len(names)
 
 
 def _features_path(dirpath, part):
@@ -95,17 +100,13 @@ def cmd_gen_synthetic(args):
     if args.labels < 1 or args.videos < 1 or args.dim < 1:
         raise UsageError("--labels, --videos, --dim must be >= 1")
     os.makedirs(args.out, exist_ok=True)
-    spec = data.ClusterSpec.separated(args.seed, args.labels, args.dim,
-                                      separation=args.separation,
-                                      scale=args.scale)
     corpus = data.generate_synthetic(args.seed, args.labels, args.videos,
-                                     args.dim, spec,
+                                     args.dim, separation=args.separation,
+                                     scale=args.scale,
                                      frames_min=args.frames_min,
                                      frames_max=args.frames_max)
-    vocab = data.LabelVocabulary.trivial(args.labels)
     with open(os.path.join(args.out, "vocab.txt"), "w", encoding="utf-8") as fh:
-        for lid, name in vocab.labels:
-            fh.write("%d %s\n" % (lid, name))
+        fh.writelines("%d label_%04d\n" % (i, i) for i in range(args.labels))
 
     # 70 : 20 : 10 split by count, assigned round-robin-free by position
     n = len(corpus)
@@ -283,37 +284,37 @@ def _l2_normalize_rows(x):
     return x / np.where(norms == 0.0, 1.0, norms)
 
 
-def _frame_training_data(args, vocab):
+def _frame_training_data(args, n_labels):
     partition = _load_partition(args.data, "train")
     frames, video_index = trainer.expand_frame_examples(
         partition, args.frames_per_video, seed=args.seed)
     if args.l2_normalize:
         frames = _l2_normalize_rows(frames)
     return (models.add_bias(frames),
-            data.label_matrix(partition.labels, vocab.size)[video_index],
+            data.label_matrix(partition.labels, n_labels)[video_index],
             partition.meta.get("space"))
 
 
-def _video_training_data(args, vocab):
+def _video_training_data(args, n_labels):
     desc = aggregate.read_descriptors(
         os.path.join(args.descriptors, "train.desc"))
     return (models.add_bias(desc.matrix),
-            data.label_matrix(desc.labels, vocab.size), desc.meta.get("space"))
+            data.label_matrix(desc.labels, n_labels), desc.meta.get("space"))
 
 
 def cmd_train(args):
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
-    vocab = _read_vocab(args.vocab_dir or args.data or args.descriptors)
+    if min(args.workers, args.frames_per_video) < 1:
+        raise ValueError("--workers and --frames-per-video must be >= 1")
+    n_labels = _read_vocab(args.vocab_dir or args.data or args.descriptors)
     if args.level == "frame":
         if not args.data:
             raise UsageError("--data required for frame-level training")
-        x, y, space = _frame_training_data(args, vocab)
+        x, y, space = _frame_training_data(args, n_labels)
         batch_default = 1
     else:
         if not args.descriptors:
             raise UsageError("--descriptors required for video-level training")
-        x, y, space = _video_training_data(args, vocab)
+        x, y, space = _video_training_data(args, n_labels)
         batch_default = 32
 
     cfg = trainer.TrainerConfig(
@@ -322,13 +323,12 @@ def cmd_train(args):
         l2=args.l2,
         iterations=args.iterations,
         sample_cap=args.sample_cap,
-        frames_per_video=args.frames_per_video,
         seed=args.seed,
         model_kind=args.model,
         n_experts=args.mixtures,
         hinge_margin=args.hinge_margin,
     )
-    results = trainer.train_all(vocab, x, y, cfg, workers=args.workers)
+    results = trainer.train_all(x, y, cfg, workers=args.workers)
 
     # the trained labels' stacked models, ids and whole loss traces, the
     # skipped labels' reasons, and the training input's feature space
@@ -340,7 +340,7 @@ def cmd_train(args):
     meta = {"config_hash": _config_hash(args), "seed": args.seed,
             "level": args.level, "model": args.model,
             "l2_normalize": args.l2_normalize, "feature_dim": x.shape[1] - 1,
-            "labels": vocab.size, "space": space,
+            "labels": n_labels, "space": space,
             "skipped": [[res.label_id, res.reason]
                         for res in results.values() if res.skipped]}
     if trained:
@@ -417,11 +417,6 @@ def _truths_for_partition(args):
 def cmd_evaluate(args):
     truths = _truths_for_partition(args)
     pset = metrics.read_predictions(args.predictions, truths_by_video=truths)
-    n_labels = max((max(g, default=-1) for g in truths.values()), default=-1) + 1
-    if n_labels > pset.n_labels:
-        raise ValueError("%s: prediction file covers %d labels but ground "
-                         "truth has %d" % (args.predictions, pset.n_labels,
-                                           n_labels))
     ks = tuple(int(k) for k in args.hit_k.split(","))
     report = metrics.evaluate(pset, hit_ks=ks)
     pairs = [("config_hash", _config_hash(args)),

@@ -7,30 +7,7 @@ import numpy as np
 from . import io
 from .io import DataFormatError
 
-
-@dataclass(frozen=True)
-class LabelVocabulary:
-    """Ordered set of (label_id, name) pairs, ids dense in [0, L)."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        ids = [lid for lid, _ in self.labels]
-        names = [name for _, name in self.labels]
-        if len(ids) < 1:
-            raise ValueError("vocabulary must contain at least one label")
-        if ids != list(range(len(ids))):
-            raise ValueError("label ids must be unique and dense in [0, L)")
-        if len(set(names)) != len(names):
-            raise ValueError("label names must be unique")
-
-    @property
-    def size(self):
-        return len(self.labels)
-
-    @classmethod
-    def trivial(cls, n_labels):
-        return cls(tuple((i, "label_%04d" % i) for i in range(n_labels)))
+SECOND_LABEL_PROB = 0.3  # chance that a synthetic video has a second label
 
 
 @dataclass(eq=False)
@@ -141,60 +118,36 @@ def read_features(path):
         raise DataFormatError("%s: %s" % (path, exc)) from exc
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Per-label Gaussian parameters driving the synthetic generator."""
-
-    means: np.ndarray   # (L, D)
-    scales: np.ndarray  # (L,) positive
-
-    def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
-        object.__setattr__(self, "scales", np.asarray(self.scales, dtype=np.float64))
-        if self.means.ndim != 2:
-            raise ValueError("means must be (L, D)")
-        if self.scales.shape != (self.means.shape[0],):
-            raise ValueError("scales must be (L,)")
-        if np.any(self.scales <= 0):
-            raise ValueError("cluster scales must be positive")
-
-    @classmethod
-    def separated(cls, seed, n_labels, dim, separation=5.0, scale=1.0):
-        """Random unit-direction means pushed `separation` apart."""
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC1]))
-        dirs = rng.standard_normal((n_labels, dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return cls(means=dirs * separation,
-                   scales=np.full(n_labels, float(scale)))
-
-
-def generate_synthetic(seed, n_labels, n_videos, dim, cluster_spec,
-                       frames_min=5, frames_max=30, second_label_prob=0.3):
-    """Deterministic synthetic partition of label-conditioned Gaussian frames.
+def generate_synthetic(seed, n_labels, n_videos, dim, separation=5.0,
+                       scale=1.0, frames_min=5, frames_max=30):
+    """Deterministic synthetic partition of label-conditioned Gaussian frames:
+    label l's frames have standard deviation `scale` around a random unit
+    direction times `separation`.
 
     Video i always carries label (i mod L), so every label has positives
     whenever n_videos >= n_labels; a second label is added with probability
-    `second_label_prob`.
+    SECOND_LABEL_PROB.
     """
     if n_labels < 1 or n_videos < 1 or dim < 1:
         raise ValueError("n_labels, n_videos, dim must all be >= 1")
-    if cluster_spec.means.shape != (n_labels, dim):
-        raise ValueError("cluster_spec shape mismatch")
+    if not scale > 0:
+        raise ValueError("the cluster scale must be positive")
+    dirs = np.random.default_rng(np.random.SeedSequence(
+        [int(seed), 0xC1])).standard_normal((n_labels, dim))
+    means = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * separation
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
     label_sets, chunks = [], []
     for i in range(n_videos):
         labels = {i % n_labels}
-        if n_labels > 1 and rng.random() < second_label_prob:
+        if n_labels > 1 and rng.random() < SECOND_LABEL_PROB:
             extra = int(rng.integers(0, n_labels))
             labels.add(extra)
         n_frames = int(rng.integers(frames_min, frames_max + 1))
         label_list = sorted(labels)
         labs = np.array(label_list)[rng.integers(0, len(label_list),
                                                  size=n_frames)]
-        frames = (cluster_spec.means[labs]
-                  + cluster_spec.scales[labs, None]
-                  * rng.standard_normal((n_frames, dim)))
+        frames = means[labs] + scale * rng.standard_normal((n_frames, dim))
         label_sets.append(labels)
         chunks.append(frames.astype(np.float32))
     offsets = np.zeros(n_videos + 1, dtype=np.int64)

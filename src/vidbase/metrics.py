@@ -122,15 +122,14 @@ def mean_average_precision(predictions):
     return mean_ap, per_class, skipped
 
 
-def hit_at_k(predictions, k, include_empty=False):
-    """Fraction of videos with a ground-truth label in the top k. Videos
-    with empty ground truth are excluded from the denominator unless
-    `include_empty` is set (they can never hit)."""
+def hit_at_k(predictions, k):
+    """Fraction of videos with a ground-truth label in the top k, over the
+    videos with nonempty ground truth (the others can never hit)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     tops = predictions.rankings[:, :k].tolist()
     hits = [any(e in g for e in top)
-            for g, top in zip(predictions.truths, tops) if g or include_empty]
+            for g, top in zip(predictions.truths, tops) if g]
     if not hits:
         raise MetricError("no videos with ground truth")
     return sum(hits) / len(hits)

@@ -40,11 +40,10 @@ DEFAULT_L2 = 1e-6
 
 
 def add_bias(x):
-    """Append the constant-1 bias feature to a vector or (N, D) matrix."""
+    """Append the constant-1 bias feature to a vector, an (N, D) matrix or
+    a stack of them on leading axes."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return np.concatenate([x, [1.0]])
-    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
 def expit(z):

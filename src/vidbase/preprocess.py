@@ -198,24 +198,24 @@ def quantize(quantizer, x):
     """Map each value to its bin index (uint8): the number of its column's
     boundaries <= it, as `np.searchsorted(b, v, side="right")` gives, found by
     an 8-step branch-free bisection over QUANTIZE_ELEMENTS values at a time.
-    Step s adds s unless v < b[code + s - 1]: NaN, +inf go to 255, -inf to 0."""
+    Step s adds s unless v < b[code + s - 1]: NaN, +inf go to 255, -inf to 0.
+    x is a vector, an (N, D) matrix or a stack of them on leading axes."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = np.atleast_2d(x)
-    n, dim = batch.shape
-    if dim != quantizer.dim:
+    dim = quantizer.dim
+    if x.shape[-1:] != (dim,):
         raise ValueError("dimension mismatch")
+    batch = x.reshape(-1, dim)
     flat = quantizer.boundaries.ravel()
     base = np.arange(dim) * (N_CODES - 1)  # column j's boundaries in flat
     codes = np.empty(batch.shape, dtype=np.uint8)
     rows = max(1, QUANTIZE_ELEMENTS // max(dim, 1))
-    for start in range(0, n, rows):
+    for start in range(0, len(batch), rows):
         chunk = batch[start:start + rows]
         pos = np.repeat(base[None], len(chunk), axis=0)
         for step in (128, 64, 32, 16, 8, 4, 2, 1):
             pos += step * ~(chunk < flat[step - 1:].take(pos))
         np.subtract(pos, base, out=codes[start:start + rows], casting="unsafe")
-    return codes[0] if single else codes
+    return codes.reshape(x.shape)
 
 
 def dequantize(quantizer, codes):

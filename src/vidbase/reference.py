@@ -64,13 +64,11 @@ def _rank_of(scores_row, e):
     return better + 1
 
 
-def brute_force_hit_at_k(predictions, k, include_empty=False):
+def brute_force_hit_at_k(predictions, k):
     hits = 0
     denom = 0
     for v, g in enumerate(predictions.truths):
         if not g:
-            if include_empty:
-                denom += 1
             continue
         denom += 1
         if any(_rank_of(predictions.scores[v], e) <= k for e in g):

@@ -48,7 +48,6 @@ class TrainerConfig:
     iterations: int = 10
     adagrad_epsilon: float = 1e-6
     sample_cap: int = DEFAULT_SAMPLE_CAP
-    frames_per_video: int = 20
     seed: int = 0
     model_kind: str = "moe"       # logistic | hinge | moe
     n_experts: int = 2
@@ -56,8 +55,7 @@ class TrainerConfig:
 
     def __post_init__(self):
         if min(self.learning_rate, self.batch_size, self.l2 + 1,
-               self.iterations, self.adagrad_epsilon, self.sample_cap,
-               self.frames_per_video) <= 0:
+               self.iterations, self.adagrad_epsilon, self.sample_cap) <= 0:
             raise ValueError("config values must be positive")
         if self.model_kind not in ("logistic", "hinge", "moe"):
             raise ValueError("unknown model kind %r" % self.model_kind)
@@ -292,8 +290,9 @@ def train_label(model, x, y, cfg, label_ids):
     return model, traces
 
 
-def train_all(vocab, x, y_matrix, cfg, workers=1):
-    """Train one model per label. Labels with both classes are split into
+def train_all(x, y_matrix, cfg, workers=1):
+    """Train one model per column of y_matrix, returning {label id:
+    LabelResult} in id order. Labels with both classes are split into
     contiguous, near-equal blocks of at most BLOCK_ELEMENTS // (batch size
     * (D+1)) labels, each trained in lockstep (see train_label); when there
     is more than one block, their count is rounded up to a multiple of
@@ -304,7 +303,7 @@ def train_all(vocab, x, y_matrix, cfg, workers=1):
     x = np.asarray(x, dtype=np.float64)
     dim = x.shape[1] - 1
     results, trainable = {}, []
-    for label_id, _ in vocab.labels:
+    for label_id in range(y_matrix.shape[1]):
         n_pos = int(np.sum(y_matrix[:, label_id] > 0.5))
         if n_pos == 0 or n_pos == len(y_matrix):
             results[label_id] = LabelResult(
@@ -340,7 +339,7 @@ def train_all(vocab, x, y_matrix, cfg, workers=1):
                     label_id, None, [], skipped=True,
                     reason="non-finite loss for label %d at iteration %d"
                     % (label_id, len(trace) - 2))
-    return {label_id: results[label_id] for label_id, _ in vocab.labels}
+    return dict(sorted(results.items()))
 
 
 @dataclass

@@ -305,6 +305,93 @@ def test_benchmark_traced_names_are_functions(preprocessed, tmp_path,
     assert {"invert_whitening", "build_descriptor"} == set(calls)
 
 
+# The benchmark's tracer hooks read their functions' arguments by position
+# and their results by shape (`train_all`'s reads `.skipped` off each value
+# of the mapping it returns): a tiny chain runs every stage through
+# perfbench/stage.py with tracing on, as a traced benchmark run does, so
+# that a changed signature or return value fails here.
+
+@pytest.fixture(scope="module")
+def traced_chain(tmp_path_factory):
+    """{stage: (exit code, record, spans file)} of a traced chain over a
+    3-label, 60-video, 4-dimensional corpus."""
+    work = tmp_path_factory.mktemp("traced")
+    trace_dir = work / "trace"
+    trace_dir.mkdir()
+    corpus, prep, stats, fisher = (str(work / name) for name in
+                                   ("corpus", "prep", "stats", "fisher"))
+    stages = {
+        "gen-synthetic": ["gen-synthetic", "--out", corpus, "--seed", "3",
+                          "--labels", "3", "--videos", "60", "--dim", "4"],
+        "preprocess": ["preprocess", "--data", corpus, "--out", prep],
+        "encode-stats": ["encode", "--data", prep, "--out", stats,
+                         "--method", "stats"],
+        "encode-fisher": ["encode", "--data", prep, "--out", fisher,
+                          "--method", "fisher", "--mixtures", "2"],
+        # a batch this large puts each label in a block of its own, so the
+        # three blocks train on two worker threads
+        "train-video": ["train", "--descriptors", fisher, "--vocab-dir",
+                        corpus, "--out", str(work / "bank"), "--iterations",
+                        "2", "--batch-size", str(1 << 19), "--workers", "2"],
+        "train-frame": ["train", "--level", "frame", "--data", prep,
+                        "--vocab-dir", corpus, "--out", str(work / "fbank"),
+                        "--model", "logistic", "--iterations", "1",
+                        "--frames-per-video", "4"],
+        "predict-video": ["predict", "--bank", str(work / "bank"),
+                          "--descriptors", fisher, "--out",
+                          str(work / "preds.txt")],
+        "predict-frame": ["predict", "--bank", str(work / "fbank"), "--data",
+                          prep, "--out", str(work / "fpreds.txt")],
+        "evaluate-video": ["evaluate", "--predictions", str(work / "preds.txt"),
+                           "--descriptors", fisher, "--out",
+                           str(work / "report.txt")],
+        "evaluate-frame": ["evaluate", "--predictions",
+                           str(work / "fpreds.txt"), "--data", prep, "--out",
+                           str(work / "freport.txt")],
+    }
+    stage = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                         "stage.py")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = {}
+    for name, argv in stages.items():
+        record = work / (name + ".json")
+        code = subprocess.run([sys.executable, stage, str(record),
+                               str(trace_dir), "--"] + argv, env=env,
+                              capture_output=True).returncode
+        rec = json.loads(record.read_text()) if record.exists() else None
+        out[name] = code, rec, trace_dir / (name + ".npz")
+    return out
+
+
+def test_every_traced_stage_passes_the_tracer_checks(traced_chain):
+    for name, (code, rec, _) in traced_chain.items():
+        assert code == 0 and rec is not None, name
+        trace = rec["trace"]
+        assert trace["nested"], name
+        assert abs(trace["self_sum_s"] - trace["span_sum_s"]) < 1e-6, name
+
+
+def test_every_tracer_hook_runs(traced_chain):
+    tracer = _perfbench_module("tracer")
+    called = {layer for _, rec, _ in traced_chain.values()
+              for layer, v in rec["trace"]["layers"].items() if v["calls"]}
+    assert set(tracer.HOOKS) | set(tracer.PRE_HOOKS) <= called
+    counters = traced_chain["train-video"][1]["counters"]
+    assert counters["trainer.labels_skipped"] == 0
+    assert counters["trainer.updates"] > 0
+
+
+def test_video_training_spans_run_on_worker_threads(traced_chain):
+    # the tracer hangs a worker thread's spans off the main thread's open
+    # span; the check above holds for them only if they are accounted apart
+    trace = np.load(traced_chain["train-video"][2])
+    names = trace["names"].tolist()
+    spans = trace["spans"]
+    threads = spans[spans[:, 1] == names.index("trainer.train_label"), 3]
+    assert len(threads) == 3 and np.all(threads > 0)
+
+
 def test_encode_stats_dimension(corpus, tmp_path):
     out = tmp_path / "enc"
     code = run("encode", "--data", str(corpus), "--out", str(out),
@@ -457,17 +544,19 @@ def test_exit_codes():
                "--workers", "0") == cli.EXIT_DATA
 
 
-def test_evaluate_label_count_mismatch(corpus, tmp_path):
+def test_evaluate_label_count_mismatch(corpus, tmp_path, capsys):
     preds = tmp_path / "short.txt"
-    # predictions only cover 2 of the 4 labels
+    # predictions only cover 2 of the 4 labels: the reader refuses a
+    # ground-truth label the file does not score
     partition = data.read_features(os.path.join(corpus, "test.features"))
     with open(preds, "w") as fh:
         for vid in partition.video_ids:
             fh.write("%s 0 0.5\n%s 1 0.5\n" % (vid, vid))
+    capsys.readouterr()
     code = run("evaluate", "--predictions", str(preds), "--data", str(corpus),
                "--partition", "test", "--out", str(tmp_path / "r.txt"))
-    # refused either at prediction parsing (data) or label-count check (usage)
-    assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
+    assert code == cli.EXIT_DATA
+    assert str(preds) in capsys.readouterr().err
     assert not (tmp_path / "r.txt").exists()
 
 
@@ -567,8 +656,10 @@ def test_train_rejects_bad_train_labels(corpus, encoded, tmp_path, capsys,
     assert not (tmp_path / "bank").exists()
 
 
-@pytest.mark.parametrize("line", ["1", "x label_0001"],
-                         ids=["one-field", "non-integer-id"])
+@pytest.mark.parametrize("line", ["1", "x label_0001", "2 label_0002",
+                                  "1 label_0000"],
+                         ids=["one-field", "non-integer-id", "sparse-ids",
+                              "duplicate-name"])
 def test_train_rejects_malformed_vocabulary(corpus, encoded, tmp_path, capsys,
                                             line):
     vocab_dir = tmp_path / "vocab"
@@ -583,6 +674,28 @@ def test_train_rejects_malformed_vocabulary(corpus, encoded, tmp_path, capsys,
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert str(vocab_dir / "vocab.txt") in err and "line 2" in err
+
+
+def test_train_rejects_empty_vocabulary(encoded, tmp_path, capsys):
+    (tmp_path / "vocab.txt").write_text("\n")
+    capsys.readouterr()
+    code = run("train", "--descriptors", str(encoded), "--vocab-dir",
+               str(tmp_path), "--out", str(tmp_path / "bank"),
+               "--model", "logistic", "--iterations", "1")
+    assert code == cli.EXIT_DATA
+    assert str(tmp_path / "vocab.txt") in capsys.readouterr().err
+    assert not (tmp_path / "bank").exists()
+
+
+@pytest.mark.parametrize("level", ["video", "frame"])
+def test_train_rejects_nonpositive_frames_per_video(corpus, encoded, tmp_path,
+                                                    level):
+    source = (["--descriptors", str(encoded)] if level == "video"
+              else ["--data", str(corpus)])
+    assert run("train", *source, "--level", level, "--vocab-dir", str(corpus),
+               "--out", str(tmp_path / "bank"),
+               "--frames-per-video", "0") == cli.EXIT_DATA
+    assert not (tmp_path / "bank").exists()
 
 
 def test_predict_scores_trailing_skipped_label(corpus, encoded, tmp_path):

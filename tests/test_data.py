@@ -49,8 +49,7 @@ def test_manifest_counts(tmp_path):
 
 
 def test_roundtrip_random_corpus(tmp_path):
-    spec = data.ClusterSpec.separated(11, 3, 6)
-    part = data.generate_synthetic(11, 3, 100, 6, spec)
+    part = data.generate_synthetic(11, 3, 100, 6)
     path = tmp_path / "c.features"
     data.write_features(part, path)
     assert_same(data.read_features(path), part)
@@ -202,9 +201,8 @@ def test_partition_rejects(field, value, match):
 
 
 def test_generator_determinism(tmp_path):
-    spec = data.ClusterSpec.separated(7, 2, 3)
-    a = data.generate_synthetic(7, 2, 50, 3, spec)
-    b = data.generate_synthetic(7, 2, 50, 3, spec)
+    a = data.generate_synthetic(7, 2, 50, 3)
+    b = data.generate_synthetic(7, 2, 50, 3)
     assert_same(a, b)
     pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
     data.write_features(a, pa)
@@ -213,21 +211,19 @@ def test_generator_determinism(tmp_path):
 
 
 def test_generator_label_coverage():
-    spec = data.ClusterSpec.separated(1, 5, 4)
-    part = data.generate_synthetic(1, 5, 10, 4, spec)
+    part = data.generate_synthetic(1, 5, 10, 4)
     assert set().union(*part.labels) == set(range(5))
 
 
 def test_zero_scale_rejected():
     with pytest.raises(ValueError, match="positive"):
-        data.ClusterSpec(means=np.zeros((2, 3)), scales=np.array([1.0, 0.0]))
+        data.generate_synthetic(1, 2, 10, 3, scale=0.0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n_videos=st.integers(1, 20))
 def test_roundtrip_property(tmp_path_factory, seed, n_videos):
-    spec = data.ClusterSpec.separated(seed, 2, 3)
-    part = data.generate_synthetic(seed, 2, n_videos, 3, spec)
+    part = data.generate_synthetic(seed, 2, n_videos, 3)
     path = tmp_path_factory.mktemp("rt") / "x.features"
     data.write_features(part, path)
     assert_same(data.read_features(path), part)
@@ -236,15 +232,6 @@ def test_roundtrip_property(tmp_path_factory, seed, n_videos):
     sliced = part.slice(cut, n_videos)
     data.write_features(sliced, path)
     assert_same(data.read_features(path), sliced)
-
-
-def test_vocab_invariants():
-    with pytest.raises(ValueError):
-        data.LabelVocabulary(((0, "a"), (2, "b")))
-    with pytest.raises(ValueError):
-        data.LabelVocabulary(((0, "a"), (1, "a")))
-    v = data.LabelVocabulary.trivial(3)
-    assert v.size == 3
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -118,7 +118,6 @@ def test_hit_at_k_monotone_in_k():
 def test_hit_at_k_empty_truth_flag():
     p = pset([[0.9, 0.1], [0.2, 0.3]], [{0}, set()])
     assert mt.hit_at_k(p, 1) == 1.0
-    assert mt.hit_at_k(p, 1, include_empty=True) == 0.5
 
 
 # ------------------------------------------------------------------ PERR

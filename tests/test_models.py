@@ -49,6 +49,15 @@ def assert_close(analytic, numeric, rel=1e-6, abs_floor=1e-8):
     assert abs(analytic - numeric) <= tol, (analytic, numeric)
 
 
+def test_add_bias_over_leading_axes():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    stacked = M.add_bias(x)
+    assert stacked.shape == (2, 3, 5) and np.all(stacked[..., 4] == 1.0)
+    assert np.array_equal(stacked[1], M.add_bias(x[1]))
+    assert np.array_equal(stacked[1, 2], M.add_bias(x[1, 2]))
+    assert np.array_equal(stacked[..., :4], x)
+
+
 # ------------------------------------------------------------------ MoE
 
 def test_moe_all_zeros():

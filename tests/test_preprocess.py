@@ -284,6 +284,8 @@ def test_quantize_float32_fortran_vector_and_empty_batch():
     one = pp.quantize(q, x32[3])
     assert one.shape == (5,) and one.dtype == np.uint8
     assert np.array_equal(one, _ref_quantize(q, x32[3])[0])
+    assert np.array_equal(pp.quantize(q, x32.reshape(5, 10, 5)),
+                          want.reshape(5, 10, 5))
     empty = pp.quantize(q, np.empty((0, 5)))
     assert empty.shape == (0, 5) and empty.dtype == np.uint8
     with pytest.raises(ValueError, match="dimension mismatch"):

@@ -120,8 +120,7 @@ def test_sampling_plan_one_class_fails():
 # ------------------------------------------------------- frame expansion
 
 def _tiny_videos(seed=0, n_videos=5, dim=3, frames=(2, 40)):
-    spec = data.ClusterSpec.separated(seed, 2, dim)
-    return data.generate_synthetic(seed, 2, n_videos, dim, spec,
+    return data.generate_synthetic(seed, 2, n_videos, dim,
                                    frames_min=frames[0], frames_max=frames[1])
 
 
@@ -248,8 +247,7 @@ def test_nonfinite_loss_skips_label():
                            iterations=3, seed=5)
     _, (trace,) = tr.train_label(tr._make_model(1, 1, cfg), x, y, cfg, [0])
     assert len(trace) == 2 and not np.isfinite(trace[-1])
-    (result,) = tr.train_all(data.LabelVocabulary.trivial(1), x, y,
-                             cfg).values()
+    (result,) = tr.train_all(x, y, cfg).values()
     assert result.skipped and result.model is None
     assert result.reason == "non-finite loss for label 0 at iteration 0"
 
@@ -271,9 +269,8 @@ def _bank_problem(seed=7, n=240, n_labels=4, dim=3):
 def test_train_all_skips_single_class_labels():
     x, y = _bank_problem(n_labels=3)
     y = np.concatenate([y, np.zeros((len(y), 1))], axis=1)  # label 3 empty
-    vocab = data.LabelVocabulary.trivial(4)
     cfg = tr.TrainerConfig(model_kind="logistic", iterations=2, seed=7)
-    results = tr.train_all(vocab, x, y, cfg)
+    results = tr.train_all(x, y, cfg)
     assert results[3].skipped and "positive" in results[3].reason
     assert all(not results[e].skipped for e in range(3))
 
@@ -281,10 +278,9 @@ def test_train_all_skips_single_class_labels():
 @pytest.mark.parametrize("kind", ["logistic", "moe"])
 def test_train_all_deterministic_rerun(kind):
     x, y = _bank_problem(seed=8)
-    vocab = data.LabelVocabulary.trivial(y.shape[1])
     cfg = tr.TrainerConfig(model_kind=kind, iterations=4, seed=8)
-    a = tr.train_all(vocab, x, y, cfg)
-    b = tr.train_all(vocab, x, y, cfg)
+    a = tr.train_all(x, y, cfg)
+    b = tr.train_all(x, y, cfg)
     for lid in a:
         assert model_bytes(a[lid].model) == model_bytes(b[lid].model)
         assert a[lid].loss_trace == b[lid].loss_trace
@@ -375,8 +371,7 @@ def test_lockstep_matches_per_label_reference(case):
     x, y = _lockstep_problem()
     cfg = tr.TrainerConfig(iterations=3, seed=5, learning_rate=0.3,
                            **LOCKSTEP_CASES[case])
-    results = tr.train_all(data.LabelVocabulary.trivial(y.shape[1]), x, y,
-                           cfg)
+    results = tr.train_all(x, y, cfg)
     assert [lid for lid, r in results.items() if r.skipped] == [3, 6]
     sizes = set()
     for label_id, res in results.items():
@@ -409,10 +404,10 @@ def test_lockstep_blocks_match_reference(kind, monkeypatch):
     x, y = _lockstep_problem()
     cfg = tr.TrainerConfig(model_kind=kind, batch_size=7, sample_cap=40,
                            iterations=2, seed=6)
-    whole = tr.train_all(data.LabelVocabulary.trivial(y.shape[1]), x, y, cfg)
+    whole = tr.train_all(x, y, cfg)
     monkeypatch.setattr(tr, "BLOCK_ELEMENTS", 2 * 7 * x.shape[1])
     calls = _count_train_label_calls(monkeypatch)
-    split = tr.train_all(data.LabelVocabulary.trivial(y.shape[1]), x, y, cfg)
+    split = tr.train_all(x, y, cfg)
     assert calls == [[0, 1], [2, 4], [5]]
     for label_id, res in split.items():
         assert res.skipped == whole[label_id].skipped
@@ -448,7 +443,6 @@ def test_train_all_workers_give_identical_banks(kind, monkeypatch):
     rounded up to a multiple of the worker count, but not past one label
     per block."""
     x, y = _lockstep_problem()
-    vocab = data.LabelVocabulary.trivial(y.shape[1])
     cfg = tr.TrainerConfig(model_kind=kind, batch_size=7, sample_cap=40,
                            iterations=2, seed=9)
     monkeypatch.setattr(tr, "BLOCK_ELEMENTS", 2 * 7 * x.shape[1])
@@ -459,7 +453,7 @@ def test_train_all_workers_give_identical_banks(kind, monkeypatch):
     try:
         for workers in (1, 2, 3, 8):
             del calls[:]
-            runs[workers] = tr.train_all(vocab, x, y, cfg, workers=workers)
+            runs[workers] = tr.train_all(x, y, cfg, workers=workers)
             assert len(calls) == {1: 3, 2: 4, 3: 3, 8: 5}[workers]
             assert sorted(sum(calls, [])) == [0, 1, 2, 4, 5]
     finally:
@@ -480,8 +474,7 @@ def test_train_all_single_block_ignores_workers(monkeypatch):
     cfg = tr.TrainerConfig(model_kind="logistic", batch_size=7,
                            iterations=1, seed=9)
     calls = _count_train_label_calls(monkeypatch)
-    tr.train_all(data.LabelVocabulary.trivial(y.shape[1]), x, y, cfg,
-                 workers=8)
+    tr.train_all(x, y, cfg, workers=8)
     assert calls == [[0, 1, 2, 4, 5]]
 
 
