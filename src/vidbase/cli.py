@@ -82,6 +82,15 @@ def _features_path(dirpath, part):
     return os.path.join(dirpath, "%s.features" % part)
 
 
+def _input_dir(args, frame_level):
+    """--data at frame level, else --descriptors; a usage error if unset."""
+    flag = "data" if frame_level else "descriptors"
+    if not getattr(args, flag):
+        raise UsageError("--%s required at %s level"
+                         % (flag, "frame" if frame_level else "video"))
+    return getattr(args, flag)
+
+
 def _load_partition(dirpath, part):
     return data.read_features(_features_path(dirpath, part))
 
@@ -305,15 +314,13 @@ def _video_training_data(args, n_labels):
 def cmd_train(args):
     if min(args.workers, args.frames_per_video) < 1:
         raise ValueError("--workers and --frames-per-video must be >= 1")
+    frame_level = args.level == "frame"
+    _input_dir(args, frame_level)
     n_labels = _read_vocab(args.vocab_dir or args.data or args.descriptors)
-    if args.level == "frame":
-        if not args.data:
-            raise UsageError("--data required for frame-level training")
+    if frame_level:
         x, y, space = _frame_training_data(args, n_labels)
         batch_default = 1
     else:
-        if not args.descriptors:
-            raise UsageError("--descriptors required for video-level training")
         x, y, space = _video_training_data(args, n_labels)
         batch_default = 32
 
@@ -379,9 +386,9 @@ def _read_input(args, part, frame_level):
     """The features (frame level) or the descriptors of partition `part`,
     from --data or --descriptors, and the file's path."""
     if frame_level:
-        path = _features_path(args.data, part)
+        path = _features_path(_input_dir(args, True), part)
         return data.read_features(path), path
-    path = os.path.join(args.descriptors, "%s.desc" % part)
+    path = os.path.join(_input_dir(args, False), "%s.desc" % part)
     return aggregate.read_descriptors(path), path
 
 
@@ -395,7 +402,9 @@ def cmd_predict(args):
     _check_space(inputs.meta, path, meta["space"], bank_path)
     x = inputs.frames.astype(np.float64) if frame_level else inputs.matrix
     if meta["feature_dim"] != x.shape[1]:
-        raise UsageError("bank feature_dim does not match %s" % path)
+        raise data.DataFormatError(
+            "%s has %d features per row, but %s was trained on %d"
+            % (path, x.shape[1], bank_path, meta["feature_dim"]))
     if not frame_level:
         scores = trainer.predict_video_level(bank, x, meta["labels"])
     else:
@@ -410,6 +419,8 @@ def cmd_predict(args):
 
 
 def _truths_for_partition(args):
+    if not (args.data or args.descriptors):
+        raise UsageError("--data or --descriptors required")
     inputs, _ = _read_input(args, args.partition, not args.descriptors)
     return dict(zip(inputs.video_ids, inputs.labels))
 

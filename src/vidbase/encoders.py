@@ -55,10 +55,6 @@ class KmeansCodebook:
             raise ValueError("centers must be finite")
 
     @property
-    def k(self):
-        return self.centers.shape[0]
-
-    @property
     def dim(self):
         return self.centers.shape[1]
 

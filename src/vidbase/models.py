@@ -11,18 +11,16 @@ product, so a stacked result equals the L single-label ones bit for bit.
 
 All feature vectors are (D+1)-dimensional with a constant-1 last coordinate
 acting as the bias feature. The bias coordinate is excluded from L2
-regularization. Models carry their Adagrad accumulators so training is
-resumable after serialization.
+regularization.
 
 Each model has one `loss(X, y, w)`: for X of shape (L, n, D+1) and y, w
 of shape (L, n), the (L,) vector of sum_i w_i l(x_i, y_i) plus
 l2 ||W[..., :-1]||^2 per label (one example is a batch of one). It has one
 `gradient(X, y, w, reg_scale)`, the exact derivative of each label's loss
 with its L2 term scaled by that label's `reg_scale` (a mini-batch's share
-of the sample). `params` pairs each parameter block with its Adagrad
-accumulator, in the order `gradient` returns the blocks. The predict
-functions score one (N, D+1) matrix shared by every label and return one
-column per label, (N, L).
+of the sample). `params` are the parameter blocks, in the order
+`gradient` returns them. The predict functions score one (N, D+1) matrix
+shared by every label and return one column per label, (N, L).
 """
 
 from dataclasses import dataclass, replace
@@ -30,10 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .io import DataFormatError
-
-KIND_LOGISTIC = 1
-KIND_HINGE = 2
-KIND_MOE = 3
 
 PROB_CLAMP = 1e-12
 DEFAULT_L2 = 1e-6
@@ -82,9 +76,13 @@ def _weighted_sum(w, v):
 
 
 class _LabelStack:
-    """The arrays named in ARRAYS carry the leading label axis."""
+    """The parameter blocks named in ARRAYS carry the leading label axis."""
 
     ARRAYS = ()
+
+    @property
+    def params(self):
+        return tuple(getattr(self, name) for name in self.ARRAYS)
 
     @property
     def n_labels(self):
@@ -108,24 +106,17 @@ def _stacked(arr, ndim, what):
 class LogisticModel(_LabelStack):
     weights: np.ndarray          # (L, D+1)
     l2: float = DEFAULT_L2
-    grad_sq: np.ndarray = None   # Adagrad accumulator, same shape
 
-    ARRAYS = ("weights", "grad_sq")
+    ARRAYS = ("weights",)
     SETTINGS = ("l2",)
-    kind = KIND_LOGISTIC
+    kind = "logistic"
 
     def __post_init__(self):
         self.weights = _stacked(self.weights, 2, "logistic weights")
-        if self.grad_sq is None:
-            self.grad_sq = np.zeros_like(self.weights)
 
     @classmethod
     def zeros(cls, dim, l2=DEFAULT_L2, n_labels=1):
         return cls(weights=np.zeros((n_labels, dim + 1)), l2=l2)
-
-    @property
-    def params(self):
-        return ((self.weights, self.grad_sq),)
 
     def loss(self, x, y, w):
         """Log loss of sigmoid(z), z = x . w, written as log(1 + e^z) - y z so
@@ -146,27 +137,20 @@ class HingeModel(_LabelStack):
     weights: np.ndarray          # (L, D+1)
     margin: float = 1.0
     l2: float = DEFAULT_L2
-    grad_sq: np.ndarray = None
 
-    ARRAYS = ("weights", "grad_sq")
+    ARRAYS = ("weights",)
     SETTINGS = ("l2", "margin")
-    kind = KIND_HINGE
+    kind = "hinge"
 
     def __post_init__(self):
         self.weights = _stacked(self.weights, 2, "hinge weights")
         if self.margin <= 0:
             raise ValueError("hinge margin must be positive")
-        if self.grad_sq is None:
-            self.grad_sq = np.zeros_like(self.weights)
 
     @classmethod
     def zeros(cls, dim, margin=1.0, l2=DEFAULT_L2, n_labels=1):
         return cls(weights=np.zeros((n_labels, dim + 1)), margin=margin,
                    l2=l2)
-
-    @property
-    def params(self):
-        return ((self.weights, self.grad_sq),)
 
     def loss(self, x, y, w):
         """max(0, b - s w.x) per row, with s = 2y - 1."""
@@ -189,12 +173,10 @@ class MoEModel(_LabelStack):
     gating: np.ndarray            # (L, H, D+1)
     experts: np.ndarray           # (L, H, D+1)
     l2: float = DEFAULT_L2
-    gating_grad_sq: np.ndarray = None
-    expert_grad_sq: np.ndarray = None
 
-    ARRAYS = ("gating", "experts", "gating_grad_sq", "expert_grad_sq")
+    ARRAYS = ("gating", "experts")
     SETTINGS = ("l2",)
-    kind = KIND_MOE
+    kind = "moe"
 
     def __post_init__(self):
         self.gating = _stacked(self.gating, 3, "MoE gating weights")
@@ -204,20 +186,11 @@ class MoEModel(_LabelStack):
                              "(L, H, D+1)")
         if self.gating.shape[1] < 1:
             raise ValueError("need at least one expert")
-        if self.gating_grad_sq is None:
-            self.gating_grad_sq = np.zeros_like(self.gating)
-        if self.expert_grad_sq is None:
-            self.expert_grad_sq = np.zeros_like(self.experts)
 
     @classmethod
     def zeros(cls, dim, n_experts=2, l2=DEFAULT_L2, n_labels=1):
         shape = (n_labels, n_experts, dim + 1)
         return cls(gating=np.zeros(shape), experts=np.zeros(shape), l2=l2)
-
-    @property
-    def params(self):
-        return ((self.gating, self.gating_grad_sq),
-                (self.experts, self.expert_grad_sq))
 
     def loss(self, x, y, w):
         return (_weighted_sum(w, log_loss(_moe_probability(self, x), y))
@@ -232,7 +205,7 @@ def _l2_penalty(model):
     (bias excluded)."""
     return model.l2 * sum(np.sum(param[..., :-1] ** 2,
                                  axis=tuple(range(1, param.ndim)))
-                          for param, _ in model.params)
+                          for param in model.params)
 
 
 def _add_l2(grad, param, coef):
@@ -300,9 +273,9 @@ def predict(model, x):
     """(N, L) probability-like scores of the rows of x for every label
     (hinge scores are mapped through a sigmoid so they can be ranked on the
     same [0, 1] scale)."""
-    if model.kind == KIND_LOGISTIC:
+    if model.kind == "logistic":
         return logistic_predict(model, x)
-    if model.kind == KIND_MOE:
+    if model.kind == "moe":
         return moe_predict(model, x)
     return expit(hinge_predict(model, x))
 
@@ -316,7 +289,8 @@ def stack_models(models):
         for name in first.ARRAYS})
 
 
-_KINDS = {cls.kind: cls for cls in (LogisticModel, HingeModel, MoEModel)}
+# each model class by its kind, the --model name
+KINDS = {cls.kind: cls for cls in (LogisticModel, HingeModel, MoEModel)}
 
 
 def serialize_model(model):
@@ -331,7 +305,7 @@ def deserialize_model(arrays, settings):
     """The model that serialize_model gave `arrays` and `settings` for;
     `arrays` may hold other arrays too."""
     try:
-        cls = _KINDS[settings["kind"]]
+        cls = KINDS[settings["kind"]]
         return cls(**{name: arrays[name] for name in cls.ARRAYS},
                    **{name: settings[name] for name in cls.SETTINGS})
     except (KeyError, TypeError) as exc:

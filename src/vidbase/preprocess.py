@@ -48,10 +48,6 @@ class WhiteningTransform:
     def dim(self):
         return self.matrix.shape[1]
 
-    @property
-    def dim_out(self):
-        return self.matrix.shape[0]
-
     @cached_property
     def pinv(self):
         """Pseudo-inverse of `matrix`, (D, d_out), computed on first use."""

@@ -19,6 +19,8 @@ BLOCK_ELEMENTS = 1 << 20
 # a lockstep pass gathers the rows of as many steps at once as hold at most
 # this many float64 feature values (256 KiB, so that they stay in cache)
 SPAN_ELEMENTS = 1 << 15
+# Adagrad divides by sqrt(accumulated squared gradients + this)
+ADAGRAD_EPSILON = 1e-6
 
 
 class TrainingError(Exception):
@@ -46,7 +48,6 @@ class TrainerConfig:
     batch_size: int = 32
     l2: float = 1e-6
     iterations: int = 10
-    adagrad_epsilon: float = 1e-6
     sample_cap: int = DEFAULT_SAMPLE_CAP
     seed: int = 0
     model_kind: str = "moe"       # logistic | hinge | moe
@@ -55,9 +56,9 @@ class TrainerConfig:
 
     def __post_init__(self):
         if min(self.learning_rate, self.batch_size, self.l2 + 1,
-               self.iterations, self.adagrad_epsilon, self.sample_cap) <= 0:
+               self.iterations, self.sample_cap) <= 0:
             raise ValueError("config values must be positive")
-        if self.model_kind not in ("logistic", "hinge", "moe"):
+        if self.model_kind not in M.KINDS:
             raise ValueError("unknown model kind %r" % self.model_kind)
 
 
@@ -128,23 +129,22 @@ def expand_frame_examples(partition, frames_per_video, seed):
     return partition.frames[rows].astype(np.float64), video_index
 
 
-def _adagrad_step(weights, grad_sq, grad, lr, eps):
-    # weights -= lr * grad / sqrt(grad_sq + eps), in place over grad
+def _adagrad_step(weights, grad_sq, grad, lr):
+    # weights -= lr * grad / sqrt(grad_sq + epsilon), in place over grad
     denom = grad * grad
     grad_sq += denom
-    np.sqrt(np.add(grad_sq, eps, out=denom), out=denom)
+    np.sqrt(np.add(grad_sq, ADAGRAD_EPSILON, out=denom), out=denom)
     weights -= np.divide(np.multiply(lr, grad, out=grad), denom, out=grad)
 
 
-def _batch_update(model, xb, yb, wb, reg_scale, cfg):
-    """One Adagrad update of every parameter block of every label from a
-    weighted mini-batch per label. The regularizer's gradient is scaled by
-    the batch's share of the label's sample so one pass applies it exactly
-    once."""
+def _batch_update(model, state, xb, yb, wb, reg_scale, cfg):
+    """One Adagrad update of each (param, accumulator) pair of `state`
+    for every label, from a weighted mini-batch per label. The regularizer's
+    gradient is scaled by the batch's share of the label's sample so one
+    pass applies it exactly once."""
     grads = model.gradient(xb, yb, wb, reg_scale)
-    for (param, grad_sq), grad in zip(model.params, grads):
-        _adagrad_step(param, grad_sq, grad, cfg.learning_rate,
-                      cfg.adagrad_epsilon)
+    for (param, grad_sq), grad in zip(state, grads):
+        _adagrad_step(param, grad_sq, grad, cfg.learning_rate)
 
 
 def _make_model(dim, n_labels, cfg):
@@ -213,7 +213,7 @@ class _BlockSample:
                                             wts[None])[0])
 
 
-def _lockstep_pass(model, x, sample, cfg):
+def _lockstep_pass(model, state, x, sample, cfg):
     """One pass of every label of the block over its sample. Step t updates
     every label at once with rows [tB, (t+1)B) of its own order, for as
     many steps as a label has full batches; a label that has run out takes
@@ -253,7 +253,7 @@ def _lockstep_pass(model, x, sample, cfg):
             ws[~np.repeat(live[lo:hi].T, ys.shape[1] // (hi - lo), 1)] = 0.0
         for t in range(lo, hi):
             cut = slice((t - lo) * batch, (t - lo + 1) * batch)
-            _batch_update(model, xs[:, cut], ys[:, cut], ws[:, cut],
+            _batch_update(model, state, xs[:, cut], ys[:, cut], ws[:, cut],
                           reg_scales[t], cfg)
         del xs   # before the next gather, which would map fresh pages
 
@@ -267,7 +267,8 @@ def train_label(model, x, y, cfg, label_ids):
     it were trained alone, and makes one lockstep pass over them. So every
     label gets exactly the updates of a run on its own, and labels never
     mix: each label's result is the same bit for bit whatever block it is
-    trained in.
+    trained in. The Adagrad accumulators start at zero and last for this
+    call only.
 
     Returns the model and one loss trace per label: the initial loss plus
     one entry per iteration. A trace is not extended past a non-finite
@@ -275,6 +276,7 @@ def train_label(model, x, y, cfg, label_ids):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     traces = [[] for _ in label_ids]
+    state = [(param, np.zeros_like(param)) for param in model.params]
 
     def record_losses(sample):
         for lane, (label_id, trace) in enumerate(zip(label_ids, traces)):
@@ -285,7 +287,7 @@ def train_label(model, x, y, cfg, label_ids):
         sample = _BlockSample.draw(label_ids, y, cfg, it)
         if it == 0:
             record_losses(sample)
-        _lockstep_pass(model, x, sample, cfg)
+        _lockstep_pass(model, state, x, sample, cfg)
         record_losses(sample)
     return model, traces
 

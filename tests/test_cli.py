@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from vidbase import aggregate, cli, data, io, preprocess, trainer
+from vidbase import aggregate, cli, data, io, models, preprocess, trainer
 
 
 def run(*argv):
@@ -461,6 +461,22 @@ def test_train_writes_index_and_models(bank, encoded):
     assert meta["space"] == desc.meta["space"]
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("logistic", ["weights"]), ("hinge", ["weights"]),
+    ("moe", ["gating", "experts"])], ids=["logistic", "hinge", "moe"])
+def test_bank_holds_only_what_predict_reads(corpus, encoded, tmp_path, kind,
+                                            params):
+    # the label ids, the loss traces and the model's parameter blocks: no
+    # optimizer state; the kind is the --model name
+    assert run("train", "--descriptors", str(encoded), "--vocab-dir",
+               str(corpus), "--out", str(tmp_path), "--model", kind,
+               "--iterations", "2") == cli.EXIT_OK
+    arrays, meta, _ = io.load(tmp_path / cli.BANK_FILE, "bank")
+    assert list(models.KINDS[kind].ARRAYS) == params
+    assert sorted(arrays) == sorted(["label_ids", "loss_traces"] + params)
+    assert meta["params"]["kind"] == meta["model"] == kind
+
+
 def test_bank_keeps_every_loss_trace(corpus, encoded, tmp_path, monkeypatch):
     # each label's whole loss trace, as train_all gave it, is in the bank
     seen = []
@@ -542,6 +558,41 @@ def test_exit_codes():
     # --workers must be >= 1 -> data error
     assert run("train", "--out", "/tmp/vidbase-nope3",
                "--workers", "0") == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("case", [
+    "predict-frame-bank", "predict-video-bank", "evaluate", "oracle",
+    "train-video", "train-frame"])
+def test_missing_input_flag_is_a_usage_error(corpus, encoded, bank, tmp_path,
+                                             capsys, case):
+    # each command names the input flag it lacks, before reading any file
+    fbank = tmp_path / "fbank"
+    if case == "predict-frame-bank":
+        assert run("train", "--data", str(corpus), "--out", str(fbank),
+                   "--model", "logistic", "--level", "frame",
+                   "--iterations", "1") == cli.EXIT_OK
+    preds = tmp_path / "p.txt"
+    argv, flag = {
+        "predict-frame-bank": (["predict", "--bank", str(fbank),
+                                "--descriptors", str(encoded),
+                                "--out", str(preds)], "--data"),
+        "predict-video-bank": (["predict", "--bank", str(bank),
+                                "--data", str(corpus),
+                                "--out", str(preds)], "--descriptors"),
+        "evaluate": (["evaluate", "--predictions", str(preds),
+                      "--out", str(tmp_path / "r.txt")],
+                     "--data or --descriptors"),
+        "oracle": (["oracle", "--predictions", str(preds)],
+                   "--data or --descriptors"),
+        "train-video": (["train", "--out", str(tmp_path / "b")],
+                        "--descriptors"),
+        "train-frame": (["train", "--level", "frame",
+                         "--out", str(tmp_path / "b")], "--data"),
+    }[case]
+    capsys.readouterr()
+    assert run(*argv) == cli.EXIT_USAGE
+    assert "%s required" % flag in capsys.readouterr().err
+    assert not preds.exists() and not (tmp_path / "b").exists()
 
 
 def test_evaluate_label_count_mismatch(corpus, tmp_path, capsys):
@@ -768,13 +819,33 @@ def test_predict_rejects_bank_it_cannot_stack(encoded, bank, tmp_path, capsys):
             lambda arrays, meta: arrays.update(
                 label_ids=arrays["label_ids"] + 1),
             lambda arrays, meta: arrays.pop("experts"),
-            lambda arrays, meta: meta["params"].update(kind=1))):
+            lambda arrays, meta: meta["params"].update(kind="logistic"))):
         path = _rewrite_bank(bank, tmp_path / ("bank%d" % n), edit)
         capsys.readouterr()
         assert run("predict", "--bank", str(path.parent), "--descriptors",
                    str(encoded), "--partition", "test",
                    "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
         assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_predict_rejects_bank_with_integer_kind(corpus, encoded, tmp_path,
+                                                capsys):
+    # the bank format before the kind was the --model name: an int kind
+    # and the Adagrad accumulators beside the weights
+    assert run("train", "--descriptors", str(encoded), "--vocab-dir",
+               str(corpus), "--out", str(tmp_path / "new"), "--model",
+               "logistic", "--iterations", "1") == cli.EXIT_OK
+
+    def old_format(arrays, meta):
+        arrays["grad_sq"] = np.ones_like(arrays["weights"])
+        meta["params"]["kind"] = 1
+
+    path = _rewrite_bank(tmp_path / "new", tmp_path / "old", old_format)
+    capsys.readouterr()
+    assert run("predict", "--bank", str(path.parent), "--descriptors",
+               str(encoded), "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
+    assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "p.txt").exists()
 
 
@@ -973,3 +1044,22 @@ def test_raw_corpora_share_one_space(corpus, other_corpus, tmp_path):
     assert run("predict", "--bank", str(fbank), "--data", str(other_corpus),
                "--partition", "test",
                "--out", str(tmp_path / "p.txt")) == cli.EXIT_OK
+
+
+def test_predict_rejects_features_of_another_width(corpus, tmp_path, capsys):
+    # raw corpora share one space, so only the width tells a raw --dim 4
+    # corpus from the --dim 8 one the bank was trained on
+    narrow = tmp_path / "narrow"
+    assert run("gen-synthetic", "--out", str(narrow), "--seed", "9",
+               "--labels", "4", "--videos", "40", "--dim", "4") == cli.EXIT_OK
+    fbank = tmp_path / "fbank"
+    assert run("train", "--data", str(corpus), "--out", str(fbank),
+               "--model", "logistic", "--level", "frame",
+               "--iterations", "1") == cli.EXIT_OK
+    capsys.readouterr()
+    assert run("predict", "--bank", str(fbank), "--data", str(narrow),
+               "--out", str(tmp_path / "p.txt")) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(narrow / "test.features") in err
+    assert str(fbank / cli.BANK_FILE) in err
+    assert not (tmp_path / "p.txt").exists()

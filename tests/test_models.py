@@ -178,7 +178,7 @@ def test_batch_gradients_match_sum(kind):
             for i in range(n)]
     assert len(batch) == len(m.params)
     for k, block in enumerate(batch):
-        assert block.shape == m.params[k][0].shape
+        assert block.shape == m.params[k].shape
         np.testing.assert_allclose(block, sum(r[k] for r in rows),
                                    rtol=0.0, atol=1e-12)
 
@@ -231,11 +231,11 @@ def test_stack_models_round_trips_labels(kind):
     labels = [m.label(k) for k in range(3)]
     back = M.stack_models(labels)
     assert back.n_labels == 3
-    for (got, _), (want, _) in zip(back.params, m.params):
+    for got, want in zip(back.params, m.params):
         assert np.array_equal(got, want)
     # label() copies: updating the copy leaves the stack alone
-    labels[0].params[0][0][...] = 0.0
-    assert np.array_equal(back.params[0][0], m.params[0][0])
+    labels[0].params[0][...] = 0.0
+    assert np.array_equal(back.params[0], m.params[0])
 
 
 # ------------------------------------------------------------- logistic
@@ -351,15 +351,12 @@ def test_hinge_invalid_margin():
 def random_models(rng):
     dim = int(rng.integers(1, 10))
     logistic = M.LogisticModel(weights=rng.standard_normal((1, dim + 1)),
-                               l2=1e-4, grad_sq=rng.random((1, dim + 1)))
+                               l2=1e-4)
     hinge = M.HingeModel(weights=rng.standard_normal((1, dim + 1)),
-                         margin=1.5, l2=1e-5,
-                         grad_sq=rng.random((1, dim + 1)))
+                         margin=1.5, l2=1e-5)
     shape = (1, int(rng.integers(1, 5)), dim + 1)
     moe = M.MoEModel(gating=rng.standard_normal(shape),
-                     experts=rng.standard_normal(shape), l2=2e-6,
-                     gating_grad_sq=rng.random(shape),
-                     expert_grad_sq=rng.random(shape))
+                     experts=rng.standard_normal(shape), l2=2e-6)
     return [logistic, hinge, moe]
 
 
@@ -383,15 +380,12 @@ def test_serialization_roundtrip_identity(tmp_path):
             back = _load_model(_bank_file(tmp_path, model))
             assert back.kind == model.kind
             assert back.l2 == model.l2
-            if model.kind == M.KIND_MOE:
+            if model.kind == "moe":
                 assert np.array_equal(back.gating, model.gating)
                 assert np.array_equal(back.experts, model.experts)
-                assert np.array_equal(back.gating_grad_sq, model.gating_grad_sq)
-                assert np.array_equal(back.expert_grad_sq, model.expert_grad_sq)
             else:
                 assert np.array_equal(back.weights, model.weights)
-                assert np.array_equal(back.grad_sq, model.grad_sq)
-                if model.kind == M.KIND_HINGE:
+                if model.kind == "hinge":
                     assert back.margin == model.margin
 
 
@@ -460,7 +454,7 @@ def test_zero_expert_moe_rejected():
     lambda arrays, settings: settings.pop("kind"),
     lambda arrays, settings: settings.update(kind=9),
     lambda arrays, settings: settings.pop("margin"),
-    lambda arrays, settings: arrays.pop("grad_sq"),
+    lambda arrays, settings: arrays.pop("weights"),
 ], ids=["no-kind", "unknown-kind", "no-margin", "no-array"])
 def test_deserialize_rejects_incomplete_model(edit):
     arrays, settings = M.serialize_model(M.HingeModel.zeros(3))

@@ -169,7 +169,7 @@ def test_transform_file_roundtrip(tmp_path):
     digest = pp.save_transform(t, tmp_path / "t.pca")
     back, back_digest = pp.load_transform(tmp_path / "t.pca")
     assert back_digest == digest
-    assert back.dim == 4 and back.dim_out == 3
+    assert back.matrix.shape == (3, 4)
     assert back.matrix.dtype == np.float64
     assert np.array_equal(back.mean, t.mean.astype(np.float32))
     assert np.array_equal(back.matrix, t.matrix.astype(np.float32))
