@@ -395,8 +395,6 @@ def _read_input(args, part, frame_level):
 def cmd_predict(args):
     bank_path = os.path.join(args.bank, BANK_FILE)
     bank, meta = _load_bank(bank_path)
-    if bank is None:
-        raise UsageError("model bank %s is empty" % args.bank)
     frame_level = meta["level"] == "frame"
     inputs, path = _read_input(args, args.partition, frame_level)
     _check_space(inputs.meta, path, meta["space"], bank_path)
@@ -405,7 +403,9 @@ def cmd_predict(args):
         raise data.DataFormatError(
             "%s has %d features per row, but %s was trained on %d"
             % (path, x.shape[1], bank_path, meta["feature_dim"]))
-    if not frame_level:
+    if bank is None:  # every label was skipped: all of them score 0
+        scores = np.zeros((len(inputs.video_ids), meta["labels"]))
+    elif not frame_level:
         scores = trainer.predict_video_level(bank, x, meta["labels"])
     else:
         if meta["l2_normalize"]:

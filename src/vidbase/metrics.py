@@ -8,6 +8,7 @@ Brute-force reference implementations of every metric live in
 
 from dataclasses import dataclass
 from functools import cached_property
+import warnings
 
 import numpy as np
 
@@ -38,9 +39,12 @@ class PredictionSet:
             raise ValueError("scores must lie in [0, 1]")
         self.truths = [frozenset(int(e) for e in g) for g in self.truths]
         n_labels = self.scores.shape[1]
-        for g in self.truths:
-            if any(e < 0 or e >= n_labels for e in g):
-                raise ValueError("ground-truth label id out of range")
+        for vid, g in zip(self.video_ids, self.truths):
+            outside = sorted(e for e in g if not 0 <= e < n_labels)
+            if outside:
+                raise ValueError("ground-truth label %d of video %s is not "
+                                 "among the %d labels scored"
+                                 % (outside[0], vid, n_labels))
 
     @property
     def n_labels(self):
@@ -171,54 +175,62 @@ def write_predictions(predictions, path):
             fh.write(vid.replace("%", "%%").join([""] + rows) % tuple(scores))
 
 
-def read_predictions(path, truths_by_video=None):
-    """Read a prediction file; ground truth is attached from
-    `truths_by_video` (video_id -> label set) when provided, and the file
-    must then hold exactly one row per (video, label) of that partition."""
-    rows = {}
-    n_labels = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                vid, e, score = parts
-                e, score = int(e), float(score)
-            except ValueError:
-                raise ValueError("%s: row %r is not 'video label score'"
-                                 % (path, line.strip())) from None
-            labels = rows.get(vid)
-            if labels is None:
-                labels = rows[vid] = {}
-            if e < 0 or e in labels:
-                raise ValueError("%s: negative or duplicate label %d for "
-                                 "video %s" % (path, e, vid))
-            labels[e] = score
-            if e >= n_labels:
-                n_labels = e + 1
-    order = list(rows)
-    truths = [frozenset()] * len(order)
-    if truths_by_video and not rows:
+def read_predictions(path, truths_by_video):
+    """Read a prediction file and attach the ground truth of
+    `truths_by_video` (video_id -> label set); the file must hold exactly
+    one row per (video, label) of that partition. Videos keep the order of
+    their first rows."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file of no rows
+            rows = np.loadtxt(path, dtype=[("video", object), ("label", "i8"),
+                                           ("score", "f8")],
+                              comments=None, encoding="utf-8", ndmin=1)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, _bad_row(path) or exc)) from None
+    if truths_by_video and not len(rows):
         raise ValueError("%s: no prediction rows for a partition of %d "
                          "videos" % (path, len(truths_by_video)))
-    if truths_by_video is not None:
-        for vid in order + list(truths_by_video):
-            found = len(rows.get(vid, ()))
-            if vid not in truths_by_video or found != n_labels:
-                raise ValueError("%s: video %s has %d of %d label rows%s"
-                                 % (path, vid, found, n_labels,
-                                    "" if vid in truths_by_video
-                                    else " and is not in the partition"))
-        truths = [truths_by_video[vid] for vid in order]
-        for vid, labels in zip(order, truths):
-            outside = sorted(e for e in labels if e >= n_labels)
-            if outside:
-                raise ValueError("%s: ground-truth label %d of video %s is "
-                                 "not among the %d labels the file scores"
-                                 % (path, outside[0], vid, n_labels))
+    ids, first, inverse = np.unique(rows["video"], return_index=True,
+                                    return_inverse=True)
+    order = ids[np.argsort(first)].tolist()
+    video = np.argsort(np.argsort(first))[inverse]  # row -> index in order
+    label = rows["label"]
+    n_labels = int(label.max(initial=-1)) + 1
+    # unless every (video, label) cell holds one row, seek the first
+    # negative label or duplicate row in file order
+    if not (len(rows) == len(order) * n_labels and np.all(label >= 0)
+            and np.all(np.bincount(video * n_labels + label) == 1)):
+        seen = set()
+        for v, e in zip(video.tolist(), label.tolist()):
+            if e < 0 or (v, e) in seen:
+                raise ValueError("%s: negative or duplicate label %d for "
+                                 "video %s" % (path, e, order[v]))
+            seen.add((v, e))
+    counts = dict(zip(order, np.bincount(video).tolist()))
+    for vid in order + list(truths_by_video):
+        found = counts.get(vid, 0)
+        if vid not in truths_by_video or found != n_labels:
+            raise ValueError("%s: video %s has %d of %d label rows%s"
+                             % (path, vid, found, n_labels,
+                                "" if vid in truths_by_video
+                                else " and is not in the partition"))
     scores = np.zeros((len(order), n_labels))
-    for v, vid in enumerate(order):
-        for e, s in rows[vid].items():
-            scores[v, e] = s
-    return PredictionSet(video_ids=order, scores=scores, truths=truths)
+    scores[video, label] = rows["score"]
+    try:
+        return PredictionSet(video_ids=order, scores=scores,
+                             truths=[truths_by_video[vid] for vid in order])
+    except ValueError as exc:  # a score or a ground-truth label out of range
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _bad_row(path):
+    """The first row of `path` that is not 'video label score' with an
+    int64 label, named; None when every row is one."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            try:
+                _, e, score = line.split() or ("", "0", "0")  # skip blanks
+                np.int64(e), float(score)
+            except (ValueError, OverflowError):
+                return "row %r is not 'video label score'" % line.strip()

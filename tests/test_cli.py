@@ -188,6 +188,34 @@ def test_preprocess_empty_partition(tmp_path):
     assert preds.read_text() == ""
 
 
+
+def test_predict_on_a_bank_that_trained_no_label(tmp_path, capsys):
+    # every video has the one label, so train skips it (no negatives) and
+    # predict scores it 0, as it does any skipped label
+    src = tmp_path / "one"
+    assert run("gen-synthetic", "--out", str(src), "--seed", "2",
+               "--labels", "1", "--videos", "30", "--dim", "4") == cli.EXIT_OK
+    bank = tmp_path / "bank"
+    assert run("train", "--data", str(src), "--out", str(bank),
+               "--model", "logistic", "--level", "frame",
+               "--iterations", "1") == cli.EXIT_OK
+    preds = tmp_path / "preds.txt"
+    assert run("predict", "--bank", str(bank), "--data", str(src),
+               "--partition", "test", "--out", str(preds)) == cli.EXIT_OK
+    rows = [line.split() for line in preds.read_text().splitlines()]
+    test = data.read_features(src / "test.features")
+    assert [vid for vid, _, _ in rows] == list(test.video_ids)
+    assert all(row[1:] == ["0", "0.000000000"] for row in rows)
+    # the width check still holds for an empty bank
+    other = tmp_path / "wide"
+    assert run("gen-synthetic", "--out", str(other), "--seed", "2",
+               "--labels", "1", "--videos", "30", "--dim", "5") == cli.EXIT_OK
+    capsys.readouterr()
+    assert run("predict", "--bank", str(bank), "--data", str(other),
+               "--partition", "test", "--out",
+               str(tmp_path / "p2.txt")) == cli.EXIT_DATA
+    assert str(bank / cli.BANK_FILE) in capsys.readouterr().err
+
 def test_encode_stats_matches_fresh_pinv_per_video(preprocessed, tmp_path,
                                                    monkeypatch):
     calls = []

@@ -175,7 +175,10 @@ def test_prediction_file_roundtrip(tmp_path):
     truths = {vid: g for vid, g in zip(p.video_ids, p.truths)}
     back = mt.read_predictions(path, truths_by_video=truths)
     assert back.video_ids == p.video_ids
-    assert np.allclose(back.scores, p.scores, atol=1e-9)
+    # every score reads back as the float of its 9-decimal text, bit for bit
+    expect = np.array([[float("%.9f" % s) for s in row]
+                       for row in p.scores.tolist()])
+    assert np.array_equal(back.scores.view(np.int64), expect.view(np.int64))
     assert back.truths == p.truths
 
 
@@ -258,3 +261,165 @@ def test_write_predictions_matches_reference_bytes(tmp_path):
     _write_predictions_reference(p, tmp_path / "slow.txt")
     assert (tmp_path / "fast.txt").read_bytes() == \
         (tmp_path / "slow.txt").read_bytes()
+
+
+# ------------------------------------ the reader against the per-line one
+
+def _read_predictions_reference(path, truths_by_video):
+    """Test-only reference: the prediction reader as it was, one split,
+    int and float per line into a dict per video."""
+    rows = {}
+    n_labels = 0
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                vid, e, score = parts
+                e, score = int(e), float(score)
+            except ValueError:
+                raise ValueError("%s: row %r is not 'video label score'"
+                                 % (path, line.strip())) from None
+            labels = rows.get(vid)
+            if labels is None:
+                labels = rows[vid] = {}
+            if e < 0 or e in labels:
+                raise ValueError("%s: negative or duplicate label %d for "
+                                 "video %s" % (path, e, vid))
+            labels[e] = score
+            if e >= n_labels:
+                n_labels = e + 1
+    order = list(rows)
+    if truths_by_video and not rows:
+        raise ValueError("%s: no prediction rows for a partition of %d "
+                         "videos" % (path, len(truths_by_video)))
+    for vid in order + list(truths_by_video):
+        found = len(rows.get(vid, ()))
+        if vid not in truths_by_video or found != n_labels:
+            raise ValueError("%s: video %s has %d of %d label rows%s"
+                             % (path, vid, found, n_labels,
+                                "" if vid in truths_by_video
+                                else " and is not in the partition"))
+    truths = [truths_by_video[vid] for vid in order]
+    for vid, labels in zip(order, truths):
+        outside = sorted(e for e in labels if e >= n_labels)
+        if outside:
+            raise ValueError("%s: ground-truth label %d of video %s is "
+                             "not among the %d labels the file scores"
+                             % (path, outside[0], vid, n_labels))
+    scores = np.zeros((len(order), n_labels))
+    for v, vid in enumerate(order):
+        for e, s in rows[vid].items():
+            scores[v, e] = s
+    return mt.PredictionSet(video_ids=order, scores=scores, truths=truths)
+
+
+_SCORE_FORMATS = ("%.9f", "%r", "%.17g", "%.3e", "%.12f")
+
+
+def _random_prediction_text(rng):
+    """A valid prediction file of a random set in a random layout: rows
+    shuffled across videos, tabs or runs of spaces, LF, CRLF or bare CR,
+    blank lines, no final newline, and any of several score spellings
+    (-0.0 among them). Returns the text and the partition's truths."""
+    p = random_pset(rng)
+    ids = ["v%d" % i for i in rng.permutation(p.scores.shape[0])]
+    scores = p.scores.copy()
+    scores[rng.random(scores.shape) < 0.05] = -0.0
+    noise = rng.random(scores.shape) < 0.3
+    scores[noise] = rng.random(int(noise.sum()))
+    rows = [(v, e) for v in range(len(ids)) for e in range(p.n_labels)]
+    if rng.random() < 0.5:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    newline = ["\n", "\r\n", "\r"][int(rng.integers(3))]
+    lines = []
+    for v, e in rows:
+        gaps = [" ", "\t", "  ", " \t "]
+        sep = [gaps[int(i)] for i in rng.integers(len(gaps), size=4)]
+        fmt = _SCORE_FORMATS[int(rng.integers(len(_SCORE_FORMATS)))]
+        score = ("-0.0" if np.signbit(scores[v, e])
+                 else fmt % float(scores[v, e]))
+        lines.append(sep[0] * int(rng.integers(2)) + ids[v] + sep[1] + str(e)
+                     + sep[2] + score + sep[3] * int(rng.integers(2)))
+        if rng.random() < 0.05:
+            lines.append(["", "  ", "\t"][int(rng.integers(3))])
+    text = newline.join(lines) + (newline if rng.random() < 0.7 else "")
+    return text, dict(zip(ids, p.truths))
+
+
+def _both_readers(path, truths):
+    """The sets (or the errors) of the reader and of the reference."""
+    out = []
+    for read in (mt.read_predictions, _read_predictions_reference):
+        try:
+            out.append(read(path, truths))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def test_read_predictions_matches_reference_on_random_files(tmp_path):
+    rng = np.random.default_rng(19)
+    path = tmp_path / "preds.txt"
+    for _ in range(150):
+        text, truths = _random_prediction_text(rng)
+        path.write_bytes(text.encode("utf-8"))
+        fast, slow = _both_readers(path, truths)
+        assert fast.video_ids == slow.video_ids
+        assert np.array_equal(fast.scores.view(np.int64),
+                              slow.scores.view(np.int64))
+        assert fast.truths == slow.truths
+
+
+def _drop_row(lines, rng):
+    i = int(rng.integers(len(lines)))
+    return lines[:i] + lines[i + 1:]
+
+
+def _edit_row(lines, rng, edit):
+    i = int(rng.integers(len(lines)))
+    return lines[:i] + [edit(lines[i].split())] + lines[i + 1:]
+
+
+_FAULTS = {
+    "2 tokens": lambda lines, rng: _edit_row(
+        lines, rng, lambda r: " ".join(r[:2])),
+    "4 tokens": lambda lines, rng: _edit_row(
+        lines, rng, lambda r: " ".join(r + ["1"])),
+    "non-int label": lambda lines, rng: _edit_row(
+        lines, rng, lambda r: "%s %s.0 %s" % tuple(r)),
+    "non-float score": lambda lines, rng: _edit_row(
+        lines, rng, lambda r: "%s %s 0.5x" % tuple(r[:2])),
+    "duplicate row": lambda lines, rng: lines + [
+        lines[int(rng.integers(len(lines)))]],
+    "negative label": lambda lines, rng: _edit_row(
+        lines, rng, lambda r: "%s %d %s" % (r[0], ~int(r[1]), r[2])),
+    "foreign video": lambda lines, rng: lines + [
+        "x%d %d 0.5" % (int(rng.integers(100)), e)
+        for e in range(len({l.split()[1] for l in lines}))],
+    "missing label": _drop_row,
+    "int64 overflow": lambda lines, rng: _edit_row(
+        lines, rng, lambda r: "%s %d %s" % (r[0], 2 ** 63, r[2])),
+    "nan score": lambda lines, rng: _edit_row(
+        lines, rng, lambda r: "%s %s nan" % tuple(r[:2])),
+}
+# faults the reference rejects without naming the file, or not at all
+_NEW_MESSAGES = ("int64 overflow", "nan score")
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_read_predictions_rejects_what_the_reference_rejects(tmp_path,
+                                                             fault):
+    rng = np.random.default_rng(sorted(_FAULTS).index(fault))
+    path = tmp_path / "preds.txt"
+    for _ in range(30):
+        p = random_pset(rng)
+        mt.write_predictions(p, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(_FAULTS[fault](lines, rng)) + "\n")
+        fast, slow = _both_readers(path, dict(zip(p.video_ids, p.truths)))
+        assert isinstance(fast, ValueError) and str(path) in str(fast)
+        assert isinstance(slow, ValueError)
+        if fault not in _NEW_MESSAGES:
+            assert str(fast) == str(slow)
