@@ -1,11 +1,9 @@
 """Fixed-length video descriptors from frame features: mean, standard
 deviation, and per-dimension Top-K ordinal statistics; descriptor files."""
 
-from collections import namedtuple
-
 import numpy as np
 
-from .data import DataFormatError, load_videos, save_videos
+from .data import DataFormatError, Partition, load_videos, save_videos
 from .preprocess import fit_whitening
 
 DEFAULT_TOP_K = 5
@@ -53,9 +51,6 @@ def fit_global_normalizer(descriptors):
     return fit_whitening(sample, sample.shape[1])
 
 
-Descriptors = namedtuple("Descriptors", "video_ids matrix layout labels meta")
-
-
 def write_descriptors(path, video_ids, matrix, layout, labels, meta=None):
     """Write a (V, d) descriptor matrix as a float32 descriptors container,
     with the video ids, label sets, layout and `meta`; returns its sha256."""
@@ -66,12 +61,15 @@ def write_descriptors(path, video_ids, matrix, layout, labels, meta=None):
 
 
 def read_descriptors(path):
-    """The Descriptors of a descriptors container, the matrix as float64."""
+    """The partition of a descriptors container: video i is row i of
+    `frames`, and `meta` holds the layout and the header's other entries."""
     arrays, video_ids, labels, meta = load_videos(path, "descriptors")
     matrix = arrays.get("matrix")
     if matrix is None or matrix.ndim != 2 or len(matrix) != len(video_ids):
         raise DataFormatError("%s: the matrix must have one row per video"
                               % path)
-    layout = tuple(tuple(entry) for entry in meta.pop("layout", ()))
-    return Descriptors(video_ids, matrix.astype(np.float64), layout,
-                       tuple(map(frozenset, labels)), meta)
+    try:  # copied out of the file's buffer, as read_features does
+        return Partition(video_ids, matrix.copy(),
+                         np.arange(len(video_ids) + 1), labels, meta)
+    except ValueError as exc:
+        raise DataFormatError("%s: %s" % (path, exc)) from exc

@@ -293,22 +293,20 @@ def _l2_normalize_rows(x):
     return x / np.where(norms == 0.0, 1.0, norms)
 
 
-def _frame_training_data(args, n_labels):
-    partition = _load_partition(args.data, "train")
-    frames, video_index = trainer.expand_frame_examples(
-        partition, args.frames_per_video, seed=args.seed)
-    if args.l2_normalize:
-        frames = _l2_normalize_rows(frames)
-    return (models.add_bias(frames),
-            data.label_matrix(partition.labels, n_labels)[video_index],
-            partition.meta.get("space"))
-
-
-def _video_training_data(args, n_labels):
-    desc = aggregate.read_descriptors(
-        os.path.join(args.descriptors, "train.desc"))
-    return (models.add_bias(desc.matrix),
-            data.label_matrix(desc.labels, n_labels), desc.meta.get("space"))
+def _training_data(args, frame_level, n_labels):
+    """The train partition's examples with a bias column, their (N, L)
+    targets and its feature space. A video's examples are its descriptor
+    row at video level, and at frame level a sample of its frames,
+    L2-normalized unless --no-l2-normalize."""
+    partition, _ = _read_input(args, "train", frame_level)
+    x, y = partition.frames, data.label_matrix(partition.labels, n_labels)
+    if frame_level:
+        x, video_index = trainer.expand_frame_examples(
+            partition, args.frames_per_video, seed=args.seed)
+        y = y[video_index]
+        if args.l2_normalize:
+            x = _l2_normalize_rows(x)
+    return models.add_bias(x), y, partition.meta.get("space")
 
 
 def cmd_train(args):
@@ -317,16 +315,11 @@ def cmd_train(args):
     frame_level = args.level == "frame"
     _input_dir(args, frame_level)
     n_labels = _read_vocab(args.vocab_dir or args.data or args.descriptors)
-    if frame_level:
-        x, y, space = _frame_training_data(args, n_labels)
-        batch_default = 1
-    else:
-        x, y, space = _video_training_data(args, n_labels)
-        batch_default = 32
+    x, y, space = _training_data(args, frame_level, n_labels)
 
     cfg = trainer.TrainerConfig(
         learning_rate=args.lr,
-        batch_size=args.batch_size or batch_default,
+        batch_size=args.batch_size or (1 if frame_level else 32),
         l2=args.l2,
         iterations=args.iterations,
         sample_cap=args.sample_cap,
@@ -398,7 +391,7 @@ def cmd_predict(args):
     frame_level = meta["level"] == "frame"
     inputs, path = _read_input(args, args.partition, frame_level)
     _check_space(inputs.meta, path, meta["space"], bank_path)
-    x = inputs.frames.astype(np.float64) if frame_level else inputs.matrix
+    x = inputs.frames.astype(np.float64)
     if meta["feature_dim"] != x.shape[1]:
         raise data.DataFormatError(
             "%s has %d features per row, but %s was trained on %d"
@@ -429,10 +422,9 @@ def cmd_evaluate(args):
     truths = _truths_for_partition(args)
     pset = metrics.read_predictions(args.predictions, truths_by_video=truths)
     ks = tuple(int(k) for k in args.hit_k.split(","))
-    report = metrics.evaluate(pset, hit_ks=ks)
     pairs = [("config_hash", _config_hash(args)),
              ("seed", args.seed)]
-    pairs += sorted(report.as_dict().items())
+    pairs += sorted(metrics.evaluate(pset, hit_ks=ks).items())
     _write_report(args.out, pairs)
     for key, value in pairs:
         print("%s=%s" % (key, value))

@@ -13,7 +13,8 @@ SECOND_LABEL_PROB = 0.3  # chance that a synthetic video has a second label
 @dataclass(eq=False)
 class Partition:
     """The videos of one partition: all their frames in one (ΣF, D) float32
-    matrix, video i's frames at rows offsets[i]:offsets[i + 1]."""
+    matrix, video i's frames at rows offsets[i]:offsets[i + 1]. A
+    descriptors file reads back as a partition of one-row videos."""
 
     video_ids: tuple
     frames: np.ndarray   # (ΣF, D) float32
@@ -39,7 +40,7 @@ class Partition:
         if np.any(np.diff(self.offsets) < 1):
             raise ValueError("every video needs at least one frame")
         if not np.all(np.isfinite(self.frames)):
-            raise ValueError("frame features must be finite")
+            raise ValueError("values must be finite")
         if any(l < 0 for labs in self.labels for l in labs):
             raise ValueError("label ids must be non-negative")
 

@@ -58,24 +58,6 @@ class PredictionSet:
         return np.lexsort((ids, -self.scores), axis=1)
 
 
-@dataclass
-class EvalReport:
-    mean_ap: float
-    per_class_ap: dict
-    hit_at_k: dict
-    perr: float
-    classes_skipped: int = 0
-    videos_skipped: int = 0
-
-    def as_dict(self):
-        out = {"mAP": self.mean_ap, "PERR": self.perr,
-               "classes_skipped": self.classes_skipped,
-               "videos_skipped": self.videos_skipped}
-        for k in sorted(self.hit_at_k):
-            out["Hit@%d" % k] = self.hit_at_k[k]
-        return out
-
-
 def bucket_scores(scores):
     """Round scores to the nearest 1/10000 bucket, as integer indices."""
     return np.clip(np.round(np.asarray(scores, dtype=np.float64) * N_BUCKETS),
@@ -153,16 +135,16 @@ def perr(predictions):
 
 
 def evaluate(predictions, hit_ks=(1, 5)):
-    mean_ap, per_class, skipped = mean_average_precision(predictions)
-    empty = sum(1 for g in predictions.truths if not g)
-    return EvalReport(
-        mean_ap=mean_ap,
-        per_class_ap=per_class,
-        hit_at_k={k: hit_at_k(predictions, k) for k in hit_ks},
-        perr=perr(predictions),
-        classes_skipped=skipped,
-        videos_skipped=empty,
-    )
+    """{name: value} of mAP, Hit@k for each k of hit_ks, PERR, and the
+    number of classes (no positive video) and of videos (no ground truth)
+    that they skip."""
+    mean_ap, _, skipped = mean_average_precision(predictions)
+    report = {"Hit@%d" % k: hit_at_k(predictions, k) for k in hit_ks}
+    report.update({"mAP": mean_ap, "PERR": perr(predictions),
+                   "classes_skipped": skipped,
+                   "videos_skipped": sum(1 for g in predictions.truths
+                                         if not g)})
+    return report
 
 
 def write_predictions(predictions, path):
@@ -185,7 +167,7 @@ def read_predictions(path, truths_by_video):
             warnings.simplefilter("ignore", UserWarning)  # a file of no rows
             rows = np.loadtxt(path, dtype=[("video", object), ("label", "i8"),
                                            ("score", "f8")],
-                              comments=None, encoding="utf-8", ndmin=1)
+                              comments=None, encoding="utf-8-sig", ndmin=1)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, _bad_row(path) or exc)) from None
     if truths_by_video and not len(rows):
@@ -227,7 +209,7 @@ def read_predictions(path, truths_by_video):
 def _bad_row(path):
     """The first row of `path` that is not 'video label score' with an
     int64 label, named; None when every row is one."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         for line in fh:
             try:
                 _, e, score = line.split() or ("", "0", "0")  # skip blanks

@@ -204,9 +204,7 @@ class _BlockSample:
         if size == len(x):
             xs, ys = x, y > 0.5
         else:
-            mask = np.zeros(len(x), dtype=bool)
-            mask[self.order[lane, :size]] = True
-            rows = np.flatnonzero(mask)
+            rows = np.sort(self.order[lane, :size])
             xs, ys = x[rows], y[rows] > 0.5
         wts = np.where(ys, self.w_plus[lane], self.w_minus[lane])
         return float(model.label(lane).loss(xs[None], ys[None],

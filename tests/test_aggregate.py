@@ -140,13 +140,15 @@ def test_descriptor_file_roundtrip(tmp_path):
     digest = agg.write_descriptors(tmp_path / "x.desc",
                                    ["a", "b", "c", "d", "e"], mat, layout,
                                    labels, {"seed": 3, "space": "s"})
+    # a partition of one-row videos, the layout in its meta
     back = agg.read_descriptors(tmp_path / "x.desc")
     assert back.video_ids == ("a", "b", "c", "d", "e")
-    assert back.layout == layout
     assert back.labels == tuple(frozenset(l) for l in labels)
-    assert back.meta == {"seed": 3, "space": "s"}
-    assert back.matrix.dtype == np.float64
-    assert np.array_equal(back.matrix, mat)
+    assert back.meta == {"seed": 3, "space": "s",
+                         "layout": [list(e) for e in layout]}
+    assert back.frames.dtype == np.float32
+    assert np.array_equal(back.frames, mat)
+    assert back.offsets.tolist() == list(range(6))
     assert digest == io.load(tmp_path / "x.desc", "descriptors").sha256
 
 

@@ -400,14 +400,26 @@ def test_every_traced_stage_passes_the_tracer_checks(traced_chain):
         assert abs(trace["self_sum_s"] - trace["span_sum_s"]) < 1e-6, name
 
 
+def _called_layers(traced_chain):
+    return {layer for _, rec, _ in traced_chain.values()
+            for layer, v in rec["trace"]["layers"].items() if v["calls"]}
+
+
 def test_every_tracer_hook_runs(traced_chain):
     tracer = _perfbench_module("tracer")
-    called = {layer for _, rec, _ in traced_chain.values()
-              for layer, v in rec["trace"]["layers"].items() if v["calls"]}
-    assert set(tracer.HOOKS) | set(tracer.PRE_HOOKS) <= called
+    assert set(tracer.HOOKS) | set(tracer.PRE_HOOKS) <= _called_layers(
+        traced_chain)
     counters = traced_chain["train-video"][1]["counters"]
     assert counters["trainer.labels_skipped"] == 0
     assert counters["trainer.updates"] > 0
+
+
+def test_the_chain_calls_every_name_the_benchmark_expects(traced_chain):
+    # a traced benchmark run fails when its workload leaves a name of
+    # CALLED uncalled, so a stage rerouted around a traced function (say
+    # read_descriptors) fails here, in one chain over every workload's names
+    expected = set().union(*_perfbench_module("run").CALLED.values())
+    assert expected - _called_layers(traced_chain) == set()
 
 
 def test_video_training_spans_run_on_worker_threads(traced_chain):
@@ -425,10 +437,10 @@ def test_encode_stats_dimension(corpus, tmp_path):
     code = run("encode", "--data", str(corpus), "--out", str(out),
                "--method", "stats", "--topk", "5")
     assert code == cli.EXIT_OK
-    _, mat, layout, _, _ = aggregate.read_descriptors(str(out / "train.desc"))
+    desc = aggregate.read_descriptors(str(out / "train.desc"))
     # mean (D) + std (D) + top5 (5D) = 7D
-    assert mat.shape[1] == 7 * 8
-    names = [name for name, _, _ in layout]
+    assert desc.dim == 7 * 8
+    names = [name for name, _, _ in desc.meta["layout"]]
     assert names == ["mean", "std", "topk"]
 
 
@@ -438,7 +450,7 @@ def test_encode_fisher_dimension(corpus, tmp_path):
                "--method", "fisher", "--mixtures", "3",
                "--codebook-sample", "2000")
     assert code == cli.EXIT_OK
-    mat = aggregate.read_descriptors(str(out / "train.desc")).matrix
+    mat = aggregate.read_descriptors(str(out / "train.desc")).frames
     assert mat.shape[1] == 2 * 3 * 8
 
 
@@ -448,7 +460,7 @@ def test_encode_vlad_dimension(corpus, tmp_path):
                "--method", "vlad", "--clusters", "4",
                "--codebook-sample", "2000")
     assert code == cli.EXIT_OK
-    mat = aggregate.read_descriptors(str(out / "train.desc")).matrix
+    mat = aggregate.read_descriptors(str(out / "train.desc")).frames
     assert mat.shape[1] == 4 * 8
     assert np.allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-5)
 
@@ -485,7 +497,7 @@ def test_train_writes_index_and_models(bank, encoded):
     assert (meta["level"], meta["model"], meta["labels"]) == ("video", "moe", 4)
     assert meta["l2_normalize"] is True and meta["skipped"] == []
     desc = aggregate.read_descriptors(encoded / "train.desc")
-    assert meta["feature_dim"] == desc.matrix.shape[1]
+    assert meta["feature_dim"] == desc.dim
     assert meta["space"] == desc.meta["space"]
 
 
@@ -822,6 +834,33 @@ def test_predict_rejects_damaged_inputs(encoded, bank, tmp_path, capsys,
         err = capsys.readouterr().err
         assert str(victim) in err
         assert ("truncated" if fault == "truncated" else "trailing") in err
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_non_finite_descriptors_exit_2_naming_the_file(corpus, encoded, bank,
+                                                      tmp_path, capsys):
+    # one NaN under a valid sha256, as another writer could make it: train
+    # and predict reject the file instead of skipping every label or
+    # failing on the scores
+    desc = tmp_path / "desc"
+    desc.mkdir()
+    for part in ("train", "test"):
+        arrays, ids, labels, meta = data.load_videos(
+            encoded / ("%s.desc" % part), "descriptors")
+        matrix = arrays["matrix"].copy()
+        matrix[1, 2] = np.nan
+        data.save_videos(desc / ("%s.desc" % part), "descriptors",
+                         {"matrix": matrix}, ids, labels, meta)
+    for argv, victim in (
+            (["train", "--descriptors", str(desc), "--vocab-dir",
+              str(corpus), "--out", str(tmp_path / "b")], desc / "train.desc"),
+            (["predict", "--bank", str(bank), "--descriptors", str(desc),
+              "--out", str(tmp_path / "p.txt")], desc / "test.desc")):
+        capsys.readouterr()
+        assert run(*argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(victim) in err and "must be finite" in err
+    assert not (tmp_path / "b").exists()
     assert not (tmp_path / "p.txt").exists()
 
 

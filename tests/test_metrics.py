@@ -182,6 +182,22 @@ def test_prediction_file_roundtrip(tmp_path):
     assert back.truths == p.truths
 
 
+def test_read_predictions_skips_a_byte_order_mark(tmp_path):
+    # a file saved with a UTF-8 BOM reads back as the same set: the mark is
+    # not part of the first video id
+    p = random_pset(np.random.default_rng(4))
+    path = tmp_path / "preds.txt"
+    mt.write_predictions(p, path)
+    truths = dict(zip(p.video_ids, p.truths))
+    plain = mt.read_predictions(path, truths)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = mt.read_predictions(path, truths)
+    assert back.video_ids == plain.video_ids
+    assert np.array_equal(back.scores.view(np.int64),
+                          plain.scores.view(np.int64))
+    assert back.truths == plain.truths
+
+
 def test_prediction_set_validation():
     with pytest.raises(ValueError):
         pset([[1.5]], [set()])
@@ -235,8 +251,9 @@ def test_evaluate_ranks_a_set_once(monkeypatch):
     p = pset(p.scores, [frozenset({0})] + p.truths[1:])
     report = mt.evaluate(p)
     assert len(calls) == 1
-    assert report.hit_at_k == {k: _hit_at_k_reference(p, k) for k in (1, 5)}
-    assert report.perr == _perr_reference(p)
+    assert report["Hit@1"] == _hit_at_k_reference(p, 1)
+    assert report["Hit@5"] == _hit_at_k_reference(p, 5)
+    assert report["PERR"] == _perr_reference(p)
 
 
 def _write_predictions_reference(predictions, path):
