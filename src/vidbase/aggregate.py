@@ -51,25 +51,27 @@ def fit_global_normalizer(descriptors):
     return fit_whitening(sample, sample.shape[1])
 
 
-def write_descriptors(path, video_ids, matrix, layout, labels, meta=None):
-    """Write a (V, d) descriptor matrix as a float32 descriptors container,
-    with the video ids, label sets, layout and `meta`; returns its sha256."""
+def write_descriptors(path, partition, matrix, layout, meta=None):
+    """Write the (V, d) descriptor matrix of a partition's videos as a
+    float32 descriptors container, with their ids and labels, the layout and
+    `meta`; returns its sha256."""
     return save_videos(path, "descriptors",
-                       {"matrix": np.asarray(matrix, dtype="<f4")},
-                       video_ids, labels,
+                       {"matrix": np.asarray(matrix, dtype="<f4")}, partition,
                        dict(meta or {}, layout=[list(e) for e in layout]))
 
 
 def read_descriptors(path):
     """The partition of a descriptors container: video i is row i of
     `frames`, and `meta` holds the layout and the header's other entries."""
-    arrays, video_ids, labels, meta = load_videos(path, "descriptors")
+    arrays, video_ids, labels, label_offsets, meta = load_videos(
+        path, "descriptors")
     matrix = arrays.get("matrix")
     if matrix is None or matrix.ndim != 2 or len(matrix) != len(video_ids):
         raise DataFormatError("%s: the matrix must have one row per video"
                               % path)
     try:  # copied out of the file's buffer, as read_features does
         return Partition(video_ids, matrix.copy(),
-                         np.arange(len(video_ids) + 1), labels, meta)
+                         np.arange(len(video_ids) + 1), labels.copy(),
+                         label_offsets, meta)
     except ValueError as exc:
         raise DataFormatError("%s: %s" % (path, exc)) from exc

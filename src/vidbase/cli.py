@@ -169,7 +169,7 @@ def cmd_preprocess(args):
             z = preprocess.apply_whitening(transform, partition.frames,
                                            l2_normalize=False)
         video_ids, offsets = partition.video_ids, partition.offsets
-        labels = partition.labels
+        labels, label_offsets = partition.labels, partition.label_offsets
         del partition  # the input frames are not needed past whitening
         if quantizer is not None:
             z_q = preprocess.dequantize(quantizer,
@@ -179,7 +179,8 @@ def cmd_preprocess(args):
             roundtrip_num += float(np.vdot(z, z))
             z = z_q
         data.write_features(
-            data.Partition(video_ids, z.astype(np.float32), offsets, labels),
+            data.Partition(video_ids, z.astype(np.float32), offsets, labels,
+                           label_offsets),
             _features_path(args.out, part), meta)
 
     pairs = [("config_hash", chash), ("seed", args.seed), ("dim_out", d_out),
@@ -277,8 +278,7 @@ def cmd_encode(args):
             "space": space}
     for part, (mat, layout) in encoded.items():
         aggregate.write_descriptors(os.path.join(args.out, "%s.desc" % part),
-                                    partitions[part].video_ids, mat, layout,
-                                    partitions[part].labels, meta)
+                                    partitions[part], mat, layout, meta)
     pairs = [("config_hash", chash), ("seed", args.seed),
              ("method", args.method),
              ("descriptor_dim", encoded["train"][0].shape[1])]
@@ -295,11 +295,11 @@ def _l2_normalize_rows(x):
 
 def _training_data(args, frame_level, n_labels):
     """The train partition's examples with a bias column, their (N, L)
-    targets and its feature space. A video's examples are its descriptor
-    row at video level, and at frame level a sample of its frames,
-    L2-normalized unless --no-l2-normalize."""
+    bool targets and its feature space. A video's examples are its
+    descriptor row at video level, and at frame level a sample of its
+    frames, L2-normalized unless --no-l2-normalize."""
     partition, _ = _read_input(args, "train", frame_level)
-    x, y = partition.frames, data.label_matrix(partition.labels, n_labels)
+    x, y = partition.frames, data.label_matrix(partition, n_labels)
     if frame_level:
         x, video_index = trainer.expand_frame_examples(
             partition, args.frames_per_video, seed=args.seed)
@@ -406,21 +406,22 @@ def cmd_predict(args):
         scores = trainer.predict_video_frame_level(bank, x, inputs.offsets,
                                                    meta["labels"])
     pset = metrics.PredictionSet(video_ids=inputs.video_ids, scores=scores,
-                                 truths=[frozenset()] * len(inputs.video_ids))
+                                 truths=data.label_matrix(inputs,
+                                                          meta["labels"]))
     metrics.write_predictions(pset, args.out)
     return EXIT_OK
 
 
-def _truths_for_partition(args):
+def _read_predictions(args):
+    """--predictions with the ground truth of --partition's videos."""
     if not (args.data or args.descriptors):
         raise UsageError("--data or --descriptors required")
     inputs, _ = _read_input(args, args.partition, not args.descriptors)
-    return dict(zip(inputs.video_ids, inputs.labels))
+    return metrics.read_predictions(args.predictions, inputs)
 
 
 def cmd_evaluate(args):
-    truths = _truths_for_partition(args)
-    pset = metrics.read_predictions(args.predictions, truths_by_video=truths)
+    pset = _read_predictions(args)
     ks = tuple(int(k) for k in args.hit_k.split(","))
     pairs = [("config_hash", _config_hash(args)),
              ("seed", args.seed)]
@@ -432,8 +433,7 @@ def cmd_evaluate(args):
 
 
 def cmd_oracle(args):
-    truths = _truths_for_partition(args)
-    pset = metrics.read_predictions(args.predictions, truths_by_video=truths)
+    pset = _read_predictions(args)
     fast_map, _, _ = metrics.mean_average_precision(pset)
     slow_map, _, _ = reference.brute_force_mean_ap(pset)
     rows = [("mAP", fast_map, slow_map)]

@@ -25,26 +25,20 @@ class MetricError(Exception):
 class PredictionSet:
     video_ids: list
     scores: np.ndarray  # (V, L) in [0, 1]
-    truths: list        # per-video frozenset of label ids
+    truths: np.ndarray  # (V, L) bool, true at each video's label ids
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.truths = np.asarray(self.truths)
         if self.scores.ndim != 2 or len(self.video_ids) != self.scores.shape[0]:
             raise ValueError("scores must be (V, L) matching video_ids")
-        if len(self.truths) != self.scores.shape[0]:
-            raise ValueError("one truth set per video required")
+        if self.truths.dtype != bool or self.truths.shape != self.scores.shape:
+            raise ValueError("truths must be a bool matrix of the scores' "
+                             "shape")
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
         if np.any(self.scores < 0) or np.any(self.scores > 1):
             raise ValueError("scores must lie in [0, 1]")
-        self.truths = [frozenset(int(e) for e in g) for g in self.truths]
-        n_labels = self.scores.shape[1]
-        for vid, g in zip(self.video_ids, self.truths):
-            outside = sorted(e for e in g if not 0 <= e < n_labels)
-            if outside:
-                raise ValueError("ground-truth label %d of video %s is not "
-                                 "among the %d labels scored"
-                                 % (outside[0], vid, n_labels))
 
     @property
     def n_labels(self):
@@ -92,20 +86,16 @@ def average_precision(scores, truths):
 
 
 def mean_average_precision(predictions):
-    """Unweighted mean AP over classes with at least one positive video."""
-    per_class = {}
-    skipped = 0
-    truth_matrix = label_matrix(predictions.truths, predictions.n_labels) > 0
-    for e in range(predictions.n_labels):
-        if not truth_matrix[:, e].any():
-            skipped += 1
-            continue
-        per_class[e] = average_precision(predictions.scores[:, e],
-                                         truth_matrix[:, e])
-    if not per_class:
+    """Unweighted mean AP over classes with at least one positive video,
+    the AP of each such class, and the number of the other classes."""
+    classes = np.flatnonzero(predictions.truths.any(axis=0)).tolist()
+    if not classes:
         raise MetricError("no class has positive examples")
-    mean_ap = float(np.mean([per_class[e] for e in sorted(per_class)]))
-    return mean_ap, per_class, skipped
+    per_class = {e: average_precision(predictions.scores[:, e],
+                                      predictions.truths[:, e])
+                 for e in classes}
+    mean_ap = float(np.mean([per_class[e] for e in classes]))
+    return mean_ap, per_class, predictions.n_labels - len(classes)
 
 
 def hit_at_k(predictions, k):
@@ -113,25 +103,27 @@ def hit_at_k(predictions, k):
     videos with nonempty ground truth (the others can never hit)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    tops = predictions.rankings[:, :k].tolist()
-    hits = [any(e in g for e in top)
-            for g, top in zip(predictions.truths, tops) if g]
-    if not hits:
+    n_labelled = int(np.count_nonzero(predictions.truths.any(axis=1)))
+    if n_labelled == 0:
         raise MetricError("no videos with ground truth")
-    return sum(hits) / len(hits)
+    top = np.take_along_axis(predictions.truths, predictions.rankings[:, :k],
+                             axis=1)
+    return int(np.count_nonzero(top.any(axis=1))) / n_labelled
 
 
 def perr(predictions):
     """Precision at equal recall rate: per video with nonempty ground
-    truth, the fraction of its labels within the top |G_v| predictions."""
-    total, denom = 0.0, 0
-    for g, ranking in zip(predictions.truths, predictions.rankings):
-        if g:
-            denom += 1
-            total += len(g.intersection(ranking[:len(g)].tolist())) / len(g)
-    if denom == 0:
+    truth, the fraction of its labels within the top |G_v| predictions;
+    the fractions are summed in video order."""
+    # the truths of each video with ground truth in rank order, and |G_v|
+    ranked = np.take_along_axis(predictions.truths, predictions.rankings,
+                                axis=1)[predictions.truths.any(axis=1)]
+    if not len(ranked):
         raise MetricError("no videos with ground truth")
-    return total / denom
+    sizes = np.count_nonzero(ranked, axis=1)
+    within = np.cumsum(ranked, axis=1)[np.arange(len(ranked)), sizes - 1]
+    # accumulate adds left to right; np.sum would add pairwise
+    return float(np.add.accumulate(within / sizes)[-1]) / len(ranked)
 
 
 def evaluate(predictions, hit_ks=(1, 5)):
@@ -142,8 +134,8 @@ def evaluate(predictions, hit_ks=(1, 5)):
     report = {"Hit@%d" % k: hit_at_k(predictions, k) for k in hit_ks}
     report.update({"mAP": mean_ap, "PERR": perr(predictions),
                    "classes_skipped": skipped,
-                   "videos_skipped": sum(1 for g in predictions.truths
-                                         if not g)})
+                   "videos_skipped": int(np.count_nonzero(
+                       ~predictions.truths.any(axis=1)))})
     return report
 
 
@@ -157,11 +149,11 @@ def write_predictions(predictions, path):
             fh.write(vid.replace("%", "%%").join([""] + rows) % tuple(scores))
 
 
-def read_predictions(path, truths_by_video):
-    """Read a prediction file and attach the ground truth of
-    `truths_by_video` (video_id -> label set); the file must hold exactly
-    one row per (video, label) of that partition. Videos keep the order of
-    their first rows."""
+def read_predictions(path, partition):
+    """Read a prediction file and attach the ground truth of the
+    data.Partition `partition` as the truth matrix; the file must hold
+    exactly one row per (video, label) of that partition, and score every
+    label of its ground truth. Videos keep the order of their first rows."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file of no rows
@@ -170,9 +162,9 @@ def read_predictions(path, truths_by_video):
                               comments=None, encoding="utf-8-sig", ndmin=1)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, _bad_row(path) or exc)) from None
-    if truths_by_video and not len(rows):
+    if len(partition) and not len(rows):
         raise ValueError("%s: no prediction rows for a partition of %d "
-                         "videos" % (path, len(truths_by_video)))
+                         "videos" % (path, len(partition)))
     ids, first, inverse = np.unique(rows["video"], return_index=True,
                                     return_inverse=True)
     order = ids[np.argsort(first)].tolist()
@@ -190,19 +182,31 @@ def read_predictions(path, truths_by_video):
                                  "video %s" % (path, e, order[v]))
             seen.add((v, e))
     counts = dict(zip(order, np.bincount(video).tolist()))
-    for vid in order + list(truths_by_video):
+    where = dict(zip(partition.video_ids, range(len(partition))))
+    for vid in order + list(partition.video_ids):
         found = counts.get(vid, 0)
-        if vid not in truths_by_video or found != n_labels:
+        if vid not in where or found != n_labels:
             raise ValueError("%s: video %s has %d of %d label rows%s"
                              % (path, vid, found, n_labels,
-                                "" if vid in truths_by_video
+                                "" if vid in where
                                 else " and is not in the partition"))
+    # the partition's videos in file order; name the smallest label the
+    # file does not score of the first video in that order that has one
+    picks = np.array([where[vid] for vid in order], dtype=np.intp)
+    owner = np.repeat(np.argsort(picks), np.diff(partition.label_offsets))
+    outside = np.flatnonzero(partition.labels >= n_labels)
+    if len(outside):
+        first = outside[np.argmin(owner[outside])]
+        raise ValueError("%s: ground-truth label %d of video %s is not among "
+                         "the %d labels scored"
+                         % (path, partition.labels[first],
+                            order[owner[first]], n_labels))
     scores = np.zeros((len(order), n_labels))
     scores[video, label] = rows["score"]
     try:
         return PredictionSet(video_ids=order, scores=scores,
-                             truths=[truths_by_video[vid] for vid in order])
-    except ValueError as exc:  # a score or a ground-truth label out of range
+                             truths=label_matrix(partition, n_labels)[picks])
+    except ValueError as exc:  # a score out of range
         raise ValueError("%s: %s" % (path, exc)) from None
 
 

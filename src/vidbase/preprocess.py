@@ -215,11 +215,20 @@ def quantize(quantizer, x):
 
 
 def dequantize(quantizer, codes):
-    """Per-dimension reconstruction values for the given codes."""
+    """Per-dimension reconstruction values for the given codes, gathered
+    QUANTIZE_ELEMENTS values at a time so that the gather's index array
+    stays chunk-sized."""
     codes = np.asarray(codes)
-    if codes.shape[-1] != quantizer.dim:
+    dim = quantizer.dim
+    if codes.shape[-1] != dim:
         raise ValueError("dimension mismatch")
-    return quantizer.reconstruction[np.arange(quantizer.dim), codes]
+    batch, dims = codes.reshape(-1, dim), np.arange(dim)
+    out = np.empty(batch.shape)
+    rows = max(1, QUANTIZE_ELEMENTS // max(dim, 1))
+    for start in range(0, len(batch), rows):
+        chunk = slice(start, start + rows)
+        out[chunk] = quantizer.reconstruction[dims, batch[chunk]]
+    return out.reshape(codes.shape)
 
 
 def invert_whitening(transform, z):

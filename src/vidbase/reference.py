@@ -39,7 +39,8 @@ def brute_force_mean_ap(predictions):
     per_class = {}
     skipped = 0
     for e in range(predictions.n_labels):
-        truths = np.array([e in g for g in predictions.truths])
+        # a contiguous copy: it is ANDed with a (10001, V) threshold mask
+        truths = predictions.truths[:, e].copy()
         if not truths.any():
             skipped += 1
             continue
@@ -67,7 +68,8 @@ def _rank_of(scores_row, e):
 def brute_force_hit_at_k(predictions, k):
     hits = 0
     denom = 0
-    for v, g in enumerate(predictions.truths):
+    for v, row in enumerate(predictions.truths):
+        g = np.flatnonzero(row).tolist()
         if not g:
             continue
         denom += 1
@@ -81,7 +83,8 @@ def brute_force_hit_at_k(predictions, k):
 def brute_force_perr(predictions):
     total = 0.0
     denom = 0
-    for v, g in enumerate(predictions.truths):
+    for v, row in enumerate(predictions.truths):
+        g = np.flatnonzero(row).tolist()
         if not g:
             continue
         denom += 1

@@ -79,11 +79,10 @@ def _derive_seed(*parts):
 
 def build_sampling_plan(label_id, positives_mask, cap, seed):
     """Uniform without-replacement sampling of up to `cap` examples per
-    class, with scales w+ = 1/w- = sqrt(Tp*Sn / (Tn*Sp)) restoring the
-    true positive/negative mass ratio."""
-    mask = np.asarray(positives_mask).astype(bool)
-    pos_idx = np.flatnonzero(mask)
-    neg_idx = np.flatnonzero(~mask)
+    class of a bool mask, with scales w+ = 1/w- = sqrt(Tp*Sn / (Tn*Sp))
+    restoring the true positive/negative mass ratio."""
+    pos_idx = np.flatnonzero(positives_mask)
+    neg_idx = np.flatnonzero(~positives_mask)
     true_pos, true_neg = len(pos_idx), len(neg_idx)
     if true_pos == 0 or true_neg == 0:
         raise TrainingError("label %d has no %s examples"
@@ -160,7 +159,7 @@ def _make_model(dim, n_labels, cfg):
 def _label_sample(label_id, y, cfg, it):
     """One label's sample for iteration `it` in its training order: the
     row indices and the w+/w- scales of the label's sampling plan."""
-    plan = build_sampling_plan(label_id, y > 0.5, cfg.sample_cap,
+    plan = build_sampling_plan(label_id, y, cfg.sample_cap,
                                seed=_derive_seed(cfg.seed, label_id, it))
     idx = np.concatenate([plan.pos_indices, plan.neg_indices])
     rng = np.random.default_rng(np.random.SeedSequence(
@@ -191,21 +190,21 @@ class _BlockSample:
         for lane, (label_id, (idx, _, _)) in enumerate(zip(label_ids,
                                                            samples)):
             order[lane, :len(idx)] = idx
-            targets[lane, :len(idx)] = y[idx, label_id] > 0.5
+            targets[lane, :len(idx)] = y[idx, label_id]
         return cls(order, targets, sizes,
                    np.array([[w] for _, w, _ in samples]),
                    np.array([[w] for _, _, w in samples]))
 
     def loss(self, model, x, y, lane):
         """Label `lane`'s loss on its whole sample, summed over its rows in
-        partition order; `y` is the label's target column. A sample of
+        partition order; `y` is the label's bool target column. A sample of
         every row (no cap binds) is scored on x itself, without a copy."""
         size = self.sizes[lane]
         if size == len(x):
-            xs, ys = x, y > 0.5
+            xs, ys = x, y
         else:
             rows = np.sort(self.order[lane, :size])
-            xs, ys = x[rows], y[rows] > 0.5
+            xs, ys = x[rows], y[rows]
         wts = np.where(ys, self.w_plus[lane], self.w_minus[lane])
         return float(model.label(lane).loss(xs[None], ys[None],
                                             wts[None])[0])
@@ -258,8 +257,8 @@ def _lockstep_pass(model, state, x, sample, cfg):
 
 def train_label(model, x, y, cfg, label_ids):
     """Train a block of labels in place, in lockstep: `model` stacks one
-    label per id of `label_ids`, and column `label_id` of the (n, .) matrix
-    `y` holds that label's targets.
+    label per id of `label_ids`, and column `label_id` of the (n, .) bool
+    matrix `y` holds that label's targets.
 
     Each iteration draws every label's own sampling plan and shuffle, as if
     it were trained alone, and makes one lockstep pass over them. So every
@@ -272,7 +271,6 @@ def train_label(model, x, y, cfg, label_ids):
     one entry per iteration. A trace is not extended past a non-finite
     entry: that label diverged at that iteration."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     traces = [[] for _ in label_ids]
     state = [(param, np.zeros_like(param)) for param in model.params]
 
@@ -291,26 +289,24 @@ def train_label(model, x, y, cfg, label_ids):
 
 
 def train_all(x, y_matrix, cfg, workers=1):
-    """Train one model per column of y_matrix, returning {label id:
-    LabelResult} in id order. Labels with both classes are split into
-    contiguous, near-equal blocks of at most BLOCK_ELEMENTS // (batch size
-    * (D+1)) labels, each trained in lockstep (see train_label); when there
-    is more than one block, their count is rounded up to a multiple of
-    `workers`, and the blocks run on that many threads. Each label's RNG
+    """Train one model per column of the bool (n, L) y_matrix, returning
+    {label id: LabelResult} in id order. Labels with both classes are split
+    into contiguous, near-equal blocks of at most BLOCK_ELEMENTS // (batch
+    size * (D+1)) labels, each trained in lockstep (see train_label); when
+    there is more than one block, their count is rounded up to a multiple
+    of `workers`, and the blocks run on that many threads. Each label's RNG
     streams are derived from (cfg.seed, label_id) only, so its model does
     not depend on the block or on `workers`. Labels without both classes,
     or whose loss diverges, are skipped and reported, not fatal."""
     x = np.asarray(x, dtype=np.float64)
     dim = x.shape[1] - 1
-    results, trainable = {}, []
-    for label_id in range(y_matrix.shape[1]):
-        n_pos = int(np.sum(y_matrix[:, label_id] > 0.5))
-        if n_pos == 0 or n_pos == len(y_matrix):
-            results[label_id] = LabelResult(
-                label_id, None, [], skipped=True, reason="no %s examples"
-                % ("positive" if n_pos == 0 else "negative"))
-        else:
-            trainable.append(label_id)
+    n_pos = np.count_nonzero(y_matrix, axis=0).tolist()
+    results = {label_id: LabelResult(label_id, None, [], skipped=True,
+                                     reason="no %s examples"
+                                     % ("positive" if n == 0 else "negative"))
+               for label_id, n in enumerate(n_pos) if n in (0, len(y_matrix))}
+    trainable = [label_id for label_id in range(len(n_pos))
+                 if label_id not in results]
 
     block_max = max(1, BLOCK_ELEMENTS // (cfg.batch_size * (dim + 1)))
     n_blocks = math.ceil(len(trainable) / block_max)

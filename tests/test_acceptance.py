@@ -15,6 +15,8 @@ from vidbase import reference as ref
 from vidbase import trainer as tr
 from vidbase import aggregate, encoders, preprocess
 
+from helpers import truth_matrix
+
 FD_STEP = 1e-5
 REL_TOL = 1e-6
 ABS_TOL = 1e-8
@@ -185,7 +187,8 @@ def test_criterion_4_metric_oracle_equivalence():
             n_labels, size=min(int(rng.integers(0, 4)), n_labels),
             replace=False)) for _ in range(n_videos)]
         p = mt.PredictionSet(video_ids=[str(i) for i in range(n_videos)],
-                             scores=scores, truths=truths)
+                             scores=scores,
+                             truths=truth_matrix(truths, n_labels))
         if any(any(e in g for g in truths) for e in range(n_labels)):
             fast, fast_pc, fast_skip = mt.mean_average_precision(p)
             slow, slow_pc, slow_skip = ref.brute_force_mean_ap(p)

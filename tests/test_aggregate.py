@@ -4,6 +4,8 @@ import pytest
 from vidbase import aggregate as agg
 from vidbase import data, io
 
+from helpers import label_lists, labelled
+
 
 def test_mean_std_symmetric_pair():
     mean, std = agg.aggregate_mean_std([[1.0, 3.0], [3.0, 1.0]])
@@ -138,12 +140,12 @@ def test_descriptor_file_roundtrip(tmp_path):
     layout = (("mean", 0, 3), ("std", 3, 3))
     labels = [{0}, {1, 3}, set(), {2}, {0, 1}]
     digest = agg.write_descriptors(tmp_path / "x.desc",
-                                   ["a", "b", "c", "d", "e"], mat, layout,
-                                   labels, {"seed": 3, "space": "s"})
+                                   labelled(["a", "b", "c", "d", "e"], labels),
+                                   mat, layout, {"seed": 3, "space": "s"})
     # a partition of one-row videos, the layout in its meta
     back = agg.read_descriptors(tmp_path / "x.desc")
     assert back.video_ids == ("a", "b", "c", "d", "e")
-    assert back.labels == tuple(frozenset(l) for l in labels)
+    assert label_lists(back) == [sorted(l) for l in labels]
     assert back.meta == {"seed": 3, "space": "s",
                          "layout": [list(e) for e in layout]}
     assert back.frames.dtype == np.float32
@@ -155,8 +157,8 @@ def test_descriptor_file_roundtrip(tmp_path):
 def test_descriptor_file_rejects_truncation_and_trailing_bytes(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "x.desc"
-    agg.write_descriptors(path, ["a", "b", "c"], rng.standard_normal((3, 4)),
-                          (("mean", 0, 4),), [{0}, {1}, {0}])
+    agg.write_descriptors(path, labelled(["a", "b", "c"], [{0}, {1}, {0}]),
+                          rng.standard_normal((3, 4)), (("mean", 0, 4),))
     blob = path.read_bytes()
     # 9 bytes cuts the prefix, 30 the header, half the file cuts a row,
     # and one byte short cuts the last value
@@ -175,8 +177,8 @@ def test_descriptor_file_rejects_non_utf8_ids(tmp_path):
     # a byte that is not UTF-8 in an id or in the layout fails the header's
     # parse, naming the file
     path = tmp_path / "u.desc"
-    agg.write_descriptors(path, ["a", "b"], np.ones((2, 3)),
-                          (("mean", 0, 3),), [{0}, {1}])
+    agg.write_descriptors(path, labelled(["a", "b"], [{0}, {1}]),
+                          np.ones((2, 3)), (("mean", 0, 3),))
     blob = path.read_bytes()
     for needle in (b'"mean"', b'"b"'):
         at = blob.index(needle) + 1
@@ -189,8 +191,8 @@ def test_descriptor_file_rejects_non_utf8_ids(tmp_path):
 def test_descriptor_matrix_needs_a_row_per_video(tmp_path):
     path = tmp_path / "r.desc"
     data.save_videos(path, "descriptors",
-                     {"matrix": np.ones((3, 2), dtype="<f4")}, ["a", "b"],
-                     [{0}, {1}], {"layout": []})
+                     {"matrix": np.ones((3, 2), dtype="<f4")},
+                     labelled(["a", "b"], [{0}, {1}]), {"layout": []})
     with pytest.raises(ValueError, match="one row per video") as err:
         agg.read_descriptors(path)
     assert str(path) in str(err.value)

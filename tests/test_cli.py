@@ -12,6 +12,8 @@ import pytest
 
 from vidbase import aggregate, cli, data, io, models, preprocess, trainer
 
+from helpers import label_lists, video_frames
+
 
 def run(*argv):
     return cli.main(list(argv))
@@ -72,7 +74,7 @@ def test_gen_synthetic_bytes_pinned(tmp_path):
         arrays[part] = [sha(p.frames.astype("<f4").tobytes()),
                         sha(p.offsets.astype("<i8").tobytes()),
                         sha("\n".join(p.video_ids).encode()),
-                        sha(json.dumps([sorted(l) for l in p.labels]).encode())]
+                        sha(json.dumps(label_lists(p)).encode())]
         files[part] = sha(path.read_bytes())
     assert arrays == {
         "train": ["9a490cb7bd0fb8e9", "738100c91eb895a5", "20fa7ee6a432d3c3",
@@ -146,9 +148,10 @@ def test_preprocess_matches_per_video_reference(tmp_path, quantize):
         got = data.read_features(str(out / ("%s.features" % part)))
         want = data.read_features(str(src / ("%s.features" % part)))
         assert got.video_ids == want.video_ids
-        assert got.labels == want.labels
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.label_offsets, want.label_offsets)
         assert np.array_equal(got.offsets, want.offsets)
-        for g, w in zip(got.videos(), want.videos()):
+        for g, w in zip(video_frames(got), video_frames(want)):
             z = preprocess.apply_whitening(t, w, l2_normalize=False)
             if q is not None:
                 z_q = preprocess.dequantize(q, preprocess.quantize(q, z))
@@ -251,7 +254,7 @@ def _per_video_encode_stats(args, partitions):
     for part, partition in partitions.items():
         descs = descriptors[part] = np.empty((len(partition),
                                               (2 + args.topk) * dim))
-        for i, frames in enumerate(partition.videos()):
+        for i, frames in enumerate(video_frames(partition)):
             if transform is not None:
                 frames = preprocess.invert_whitening(transform, frames)
             descs[i] = aggregate.build_descriptor(frames, k=args.topk)
@@ -711,6 +714,21 @@ def test_train_rejects_label_outside_vocabulary(corpus, encoded, tmp_path):
     assert code == cli.EXIT_DATA
 
 
+def test_predict_rejects_label_outside_vocabulary(corpus, encoded, bank,
+                                                  tmp_path, capsys):
+    # the scored set holds the partition's ground truth, so a label id
+    # outside the bank's vocabulary is a data error, as in train
+    desc = _copy_dir(encoded, tmp_path / "desc")
+    _rewrite_desc(desc / "test.desc",
+                  lambda arrays, meta: arrays["labels"].__setitem__(-1, 99))
+    capsys.readouterr()
+    code = run("predict", "--bank", str(bank), "--descriptors", str(desc),
+               "--out", str(tmp_path / "p.txt"))
+    assert code == cli.EXIT_DATA
+    assert "label id 99" in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
+
+
 def _edit_train_labels(case, arrays, meta):
     """train.desc's label arrays or header edited for one case, and what
     the error names."""
@@ -845,12 +863,11 @@ def test_non_finite_descriptors_exit_2_naming_the_file(corpus, encoded, bank,
     desc = tmp_path / "desc"
     desc.mkdir()
     for part in ("train", "test"):
-        arrays, ids, labels, meta = data.load_videos(
-            encoded / ("%s.desc" % part), "descriptors")
-        matrix = arrays["matrix"].copy()
+        partition = aggregate.read_descriptors(encoded / ("%s.desc" % part))
+        matrix = partition.frames.copy()
         matrix[1, 2] = np.nan
         data.save_videos(desc / ("%s.desc" % part), "descriptors",
-                         {"matrix": matrix}, ids, labels, meta)
+                         {"matrix": matrix}, partition, partition.meta)
     for argv, victim in (
             (["train", "--descriptors", str(desc), "--vocab-dir",
               str(corpus), "--out", str(tmp_path / "b")], desc / "train.desc"),
@@ -976,7 +993,7 @@ def test_evaluate_names_ground_truth_label_missing_from_predictions(
              if l.split()[1] != "3"]
     preds.write_text("\n".join(lines) + "\n")
     desc = aggregate.read_descriptors(encoded / "test.desc")
-    truths = dict(zip(desc.video_ids, desc.labels))
+    truths = dict(zip(desc.video_ids, label_lists(desc)))
     first = next(vid for vid in (l.split()[0] for l in lines)
                  if 3 in truths[vid])
     for command in ("evaluate", "oracle"):

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from vidbase import data, io
 
+from helpers import label_arrays, label_lists, labelled, video_frames
+
 
 def make_partition(videos, dim=None):
     """A partition from (video id, frames, labels) triples."""
@@ -11,13 +13,15 @@ def make_partition(videos, dim=None):
     offsets = np.concatenate(([0], np.cumsum([len(f) for f in frames])))
     if not frames:
         frames = [np.empty((0, dim), dtype=np.float32)]
+    labels = label_arrays(labs for _, _, labs in videos)
     return data.Partition([vid for vid, _, _ in videos], np.concatenate(frames),
-                          offsets, [labs for _, _, labs in videos])
+                          offsets, *labels)
 
 
 def assert_same(a, b):
     assert a.video_ids == b.video_ids
-    assert a.labels == b.labels
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.label_offsets, b.label_offsets)
     assert np.array_equal(a.offsets, b.offsets)
     assert a.frames.shape == b.frames.shape
     assert a.frames.tobytes() == b.frames.tobytes()
@@ -113,7 +117,7 @@ def test_zero_frame_video_rejected(tmp_path):
     data.save_videos(path, "features",
                      {"frames": np.ones((1, 2), dtype="<f4"),
                       "offsets": np.array([0, 0, 1], dtype="<i8")},
-                     ["v0", "v1"], [{0}, {1}])
+                     labelled(["v0", "v1"], [{0}, {1}]))
     with pytest.raises(data.DataFormatError, match="at least one frame") as err:
         data.read_features(path)
     assert str(path) in str(err.value)
@@ -131,12 +135,17 @@ def _bad_videos(ids=("a", "b"), counts=(1, 1), labels=(0, 1)):
     (_bad_videos(labels=(0, -1)), "non-negative"),
     (_bad_videos(labels=(0.0, 1.0)), "integers"),
     (_bad_videos(ids=("a", "a")), "video a is listed twice"),
+    (_bad_videos(counts=(2, 0), labels=(1, 1)),
+     "label ids of video a must be strictly increasing"),
+    (_bad_videos(counts=(0, 2), labels=(3, 1)),
+     "label ids of video b must be strictly increasing"),
     (_bad_videos(ids=("a", 3)), "string video ids"),
     (({"labels": np.array([0, 1])}, {"video_ids": ["a", "b"]}), "integers"),
     (({"label_counts": np.array([1, 1]), "labels": np.array([0, 1])}, {}),
      "string video ids"),
 ], ids=["short-counts", "counts-past-labels", "negative-count",
-        "negative-label", "float-labels", "listed-twice", "non-string-id",
+        "negative-label", "float-labels", "listed-twice", "duplicate-label",
+        "unsorted-labels", "non-string-id",
         "no-counts", "no-ids"])
 def test_header_videos_checked(tmp_path, videos, match):
     # containers another writer got wrong, under a valid digest
@@ -165,13 +174,13 @@ def test_partition_views_and_slice():
     part = make_partition([("a", [[1.0, 2.0]], (0,)),
                            ("b", [[3.0, 4.0], [5.0, 6.0]], (1, 2)),
                            ("c", [[7.0, 8.0]] * 3, ())])
-    views = list(part.videos())
+    views = list(video_frames(part))
     assert [v.tolist() for v in views[:2]] == [[[1.0, 2.0]],
                                                [[3.0, 4.0], [5.0, 6.0]]]
     assert all(np.shares_memory(v, part.frames) for v in views)
     mid = part.slice(1, 3)
     assert mid.video_ids == ("b", "c")
-    assert mid.labels == (frozenset({1, 2}), frozenset())
+    assert label_lists(mid) == [[1, 2], []]
     assert mid.offsets.tolist() == [0, 2, 5]
     assert np.array_equal(mid.frames, part.frames[1:])
     assert len(part.slice(3, 3)) == 0 and part.slice(3, 3).dim == 2
@@ -184,16 +193,17 @@ def test_partition_views_and_slice():
     ("offsets", [1, 2, 3], "offsets must"),
     ("offsets", [0, 2, 2], "offsets must"),
     ("offsets", [0, 0, 3], "at least one frame"),
-    ("labels", [(0,)], "one label set"),
+    ("label_offsets", [0, 1], "label_offsets must"),
     ("frames", [[1.0], [np.nan], [2.0]], "finite"),
     ("frames", [[1.0], [np.inf], [2.0]], "finite"),
-    ("labels", [(0,), (-1,)], "non-negative"),
+    ("labels", [0, -1], "non-negative"),
 ], ids=["1-d-frames", "3-d-frames", "short-offsets", "offsets-from-1",
         "offsets-past-end", "empty-video", "label-set-count", "nan", "inf",
         "negative-label"])
 def test_partition_rejects(field, value, match):
     fields = {"video_ids": ["a", "b"], "frames": np.zeros((3, 1)),
-              "offsets": [0, 1, 3], "labels": [(0,), (1,)]}
+              "offsets": [0, 1, 3], "labels": [0, 1],
+              "label_offsets": [0, 1, 2]}
     data.Partition(**fields)
     fields[field] = value
     with pytest.raises(ValueError, match=match):
@@ -212,7 +222,7 @@ def test_generator_determinism(tmp_path):
 
 def test_generator_label_coverage():
     part = data.generate_synthetic(1, 5, 10, 4)
-    assert set().union(*part.labels) == set(range(5))
+    assert set(part.labels.tolist()) == set(range(5))
 
 
 def test_zero_scale_rejected():

@@ -10,13 +10,16 @@ import pytest
 
 from vidbase import aggregate, cli, data, encoders, io, preprocess
 
+from helpers import label_arrays
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "vidbase")
 
 
 def _partition():
     return data.Partition(["a", "b"], np.arange(10, dtype=np.float32)
-                          .reshape(5, 2), [0, 2, 5], [{0}, {1, 2}])
+                          .reshape(5, 2), [0, 2, 5],
+                          *label_arrays([{0}, {1, 2}]))
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +30,9 @@ def artifacts(tmp_path_factory):
     x = rng.standard_normal((200, 3))
     part = _partition()
     data.write_features(part, out / "f.features", {"seed": 1})
-    aggregate.write_descriptors(out / "d.desc", part.video_ids,
+    aggregate.write_descriptors(out / "d.desc", part,
                                 rng.standard_normal((2, 4)),
-                                (("mean", 0, 4),), part.labels)
+                                (("mean", 0, 4),))
     preprocess.save_transform(preprocess.fit_whitening(x, 3), out / "t.pca")
     preprocess.save_quantizer(preprocess.fit_quantizer(x), out / "q.qnt")
     encoders.save_gmm(encoders.fit_gmm(x, 2, seed=1), out / "c.gmm")

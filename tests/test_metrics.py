@@ -4,11 +4,20 @@ import pytest
 from vidbase import metrics as mt
 from vidbase import reference as ref
 
+from helpers import label_lists, labelled, truth_matrix
+
 
 def pset(scores, truths):
     scores = np.asarray(scores, dtype=np.float64)
     return mt.PredictionSet(video_ids=["v%d" % i for i in range(len(scores))],
-                            scores=scores, truths=[frozenset(t) for t in truths])
+                            scores=scores,
+                            truths=truth_matrix(truths, scores.shape[1]))
+
+
+def one_row_partition(video_ids, truths):
+    """The partition of one-row videos whose ground truth is the rows of
+    the truth matrix `truths`."""
+    return labelled(video_ids, [np.flatnonzero(row) for row in truths])
 
 
 def random_pset(rng):
@@ -101,15 +110,14 @@ def test_hit_at_k_rank_arithmetic():
 def test_hit_at_k_saturation():
     rng = np.random.default_rng(1)
     p = random_pset(rng)
-    nonempty = [g for g in p.truths if g]
-    if nonempty:
+    if p.truths.any():
         assert mt.hit_at_k(p, p.n_labels) == 1.0
 
 
 def test_hit_at_k_monotone_in_k():
     rng = np.random.default_rng(2)
     p = random_pset(rng)
-    if not any(p.truths):
+    if not p.truths.any():
         return
     values = [mt.hit_at_k(p, k) for k in range(1, p.n_labels + 1)]
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -152,17 +160,29 @@ def test_oracle_equivalence_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(200):
         p = random_pset(rng)
-        has_pos_class = any(any(e in g for g in p.truths)
-                            for e in range(p.n_labels))
-        if has_pos_class:
+        # a class has a positive video when a video has ground truth
+        if p.truths.any():
             fast, _, fast_skip = mt.mean_average_precision(p)
             slow, _, slow_skip = ref.brute_force_mean_ap(p)
             assert fast == slow
             assert fast_skip == slow_skip
-        if any(p.truths):
             for k in (1, 3, p.n_labels):
                 assert mt.hit_at_k(p, k) == ref.brute_force_hit_at_k(p, k)
             assert mt.perr(p) == ref.brute_force_perr(p)
+
+
+def test_perr_and_hit_at_k_match_the_oracle_at_benchmark_scale():
+    """Bit for bit with the brute-force references on a set of benchmark
+    size, where PERR adds thousands of fractions: added pairwise, as np.sum
+    does, they round otherwise than added in video order."""
+    rng = np.random.default_rng(43)
+    n_videos, n_labels = 2000, 12
+    scores = rng.integers(0, 12, size=(n_videos, n_labels)) / 11.0
+    p = pset(scores, [rng.choice(n_labels, size=int(rng.integers(0, 4)),
+                                 replace=False) for _ in range(n_videos)])
+    for k in (1, 5):
+        assert mt.hit_at_k(p, k) == ref.brute_force_hit_at_k(p, k)
+    assert mt.perr(p) == ref.brute_force_perr(p)
 
 
 # ------------------------------------------------------------------- I/O
@@ -172,14 +192,14 @@ def test_prediction_file_roundtrip(tmp_path):
     p = random_pset(rng)
     path = tmp_path / "preds.txt"
     mt.write_predictions(p, path)
-    truths = {vid: g for vid, g in zip(p.video_ids, p.truths)}
-    back = mt.read_predictions(path, truths_by_video=truths)
+    back = mt.read_predictions(path,
+                               one_row_partition(p.video_ids, p.truths))
     assert back.video_ids == p.video_ids
     # every score reads back as the float of its 9-decimal text, bit for bit
     expect = np.array([[float("%.9f" % s) for s in row]
                        for row in p.scores.tolist()])
     assert np.array_equal(back.scores.view(np.int64), expect.view(np.int64))
-    assert back.truths == p.truths
+    assert np.array_equal(back.truths, p.truths)
 
 
 def test_read_predictions_skips_a_byte_order_mark(tmp_path):
@@ -188,14 +208,28 @@ def test_read_predictions_skips_a_byte_order_mark(tmp_path):
     p = random_pset(np.random.default_rng(4))
     path = tmp_path / "preds.txt"
     mt.write_predictions(p, path)
-    truths = dict(zip(p.video_ids, p.truths))
-    plain = mt.read_predictions(path, truths)
+    part = one_row_partition(p.video_ids, p.truths)
+    plain = mt.read_predictions(path, part)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    back = mt.read_predictions(path, truths)
+    back = mt.read_predictions(path, part)
     assert back.video_ids == plain.video_ids
     assert np.array_equal(back.scores.view(np.int64),
                           plain.scores.view(np.int64))
-    assert back.truths == plain.truths
+    assert np.array_equal(back.truths, plain.truths)
+
+
+def test_read_predictions_names_the_first_unscored_truth_in_file_order(
+        tmp_path):
+    # b comes first in the partition, c first in the file: the error names
+    # c's smallest label the file does not score
+    path = tmp_path / "preds.txt"
+    path.write_text("".join("%s %d 0.5\n" % (vid, e)
+                            for vid in "cba" for e in range(2)))
+    part = labelled(["a", "b", "c"], [{0}, {1, 2}, {0, 3, 4}])
+    with pytest.raises(ValueError) as err:
+        mt.read_predictions(path, part)
+    assert str(err.value) == ("%s: ground-truth label 3 of video c is not "
+                              "among the 2 labels scored" % path)
 
 
 def test_prediction_set_validation():
@@ -203,6 +237,9 @@ def test_prediction_set_validation():
         pset([[1.5]], [set()])
     with pytest.raises(ValueError):
         pset([[0.5]], [{3}])
+    for truths in (np.zeros((1, 2), dtype=bool), np.ones((1, 1))):
+        with pytest.raises(ValueError, match="truths must be"):
+            mt.PredictionSet(video_ids=["v0"], scores=[[0.5]], truths=truths)
 
 
 # ------------------------------------- one ranking and template per call
@@ -214,15 +251,25 @@ def _ranking_reference(scores_row):
 
 
 def _hit_at_k_reference(p, k):
-    hits = [any(int(e) in g for e in _ranking_reference(p.scores[v])[:k])
-            for v, g in enumerate(p.truths) if g]
-    return sum(hits) / len(hits)
+    hits = videos = 0
+    for v, row in enumerate(p.truths):
+        if row.any():
+            videos += 1
+            hits += bool(row[_ranking_reference(p.scores[v])[:k]].any())
+    return hits / videos
 
 
 def _perr_reference(p):
-    precisions = [len(set(_ranking_reference(p.scores[v])[:len(g)].tolist())
-                      & g) / len(g) for v, g in enumerate(p.truths) if g]
-    return sum(precisions) / len(precisions)
+    # the fractions added one by one in video order (builtin sum adds
+    # floats compensated from Python 3.12 on)
+    total, videos = 0.0, 0
+    for v, row in enumerate(p.truths):
+        g = set(np.flatnonzero(row).tolist())
+        if g:
+            videos += 1
+            top = _ranking_reference(p.scores[v])[:len(g)].tolist()
+            total += len(set(top) & g) / len(g)
+    return total / videos
 
 
 def test_rankings_match_per_video_reference():
@@ -235,7 +282,7 @@ def test_rankings_match_per_video_reference():
         for v in range(len(p.video_ids)):
             assert rankings[v].tolist() == \
                 _ranking_reference(p.scores[v]).tolist()
-        if any(p.truths):
+        if p.truths.any():
             for k in (1, 2, p.n_labels):
                 assert mt.hit_at_k(p, k) == _hit_at_k_reference(p, k)
             assert mt.perr(p) == _perr_reference(p)
@@ -248,7 +295,10 @@ def test_evaluate_ranks_a_set_once(monkeypatch):
     monkeypatch.setattr(np, "lexsort",
                         lambda *a, **kw: calls.append(1) or lexsort(*a, **kw))
     p = random_pset(np.random.default_rng(18))
-    p = pset(p.scores, [frozenset({0})] + p.truths[1:])
+    truths = p.truths.copy()
+    truths[0] = np.arange(p.n_labels) == 0
+    p = mt.PredictionSet(video_ids=p.video_ids, scores=p.scores,
+                         truths=truths)
     report = mt.evaluate(p)
     assert len(calls) == 1
     assert report["Hit@1"] == _hit_at_k_reference(p, 1)
@@ -273,7 +323,7 @@ def test_write_predictions_matches_reference_bytes(tmp_path):
     scores[2] = np.nextafter(0.5, 1.0)           # rounds at the 9th digit
     ids = ["v%d" % i for i in range(38)] + ["100%", "a%sb%d"]
     p = mt.PredictionSet(video_ids=ids, scores=scores,
-                         truths=[frozenset()] * len(ids))
+                         truths=np.zeros(scores.shape, dtype=bool))
     mt.write_predictions(p, tmp_path / "fast.txt")
     _write_predictions_reference(p, tmp_path / "slow.txt")
     assert (tmp_path / "fast.txt").read_bytes() == \
@@ -282,9 +332,11 @@ def test_write_predictions_matches_reference_bytes(tmp_path):
 
 # ------------------------------------ the reader against the per-line one
 
-def _read_predictions_reference(path, truths_by_video):
+def _read_predictions_reference(path, partition):
     """Test-only reference: the prediction reader as it was, one split,
     int and float per line into a dict per video."""
+    truths_by_video = dict(zip(partition.video_ids,
+                               map(set, label_lists(partition))))
     rows = {}
     n_labels = 0
     with open(path, encoding="utf-8") as fh:
@@ -329,7 +381,8 @@ def _read_predictions_reference(path, truths_by_video):
     for v, vid in enumerate(order):
         for e, s in rows[vid].items():
             scores[v, e] = s
-    return mt.PredictionSet(video_ids=order, scores=scores, truths=truths)
+    return mt.PredictionSet(video_ids=order, scores=scores,
+                            truths=truth_matrix(truths, n_labels))
 
 
 _SCORE_FORMATS = ("%.9f", "%r", "%.17g", "%.3e", "%.12f")
@@ -339,7 +392,7 @@ def _random_prediction_text(rng):
     """A valid prediction file of a random set in a random layout: rows
     shuffled across videos, tabs or runs of spaces, LF, CRLF or bare CR,
     blank lines, no final newline, and any of several score spellings
-    (-0.0 among them). Returns the text and the partition's truths."""
+    (-0.0 among them). Returns the text and the partition."""
     p = random_pset(rng)
     ids = ["v%d" % i for i in rng.permutation(p.scores.shape[0])]
     scores = p.scores.copy()
@@ -362,15 +415,15 @@ def _random_prediction_text(rng):
         if rng.random() < 0.05:
             lines.append(["", "  ", "\t"][int(rng.integers(3))])
     text = newline.join(lines) + (newline if rng.random() < 0.7 else "")
-    return text, dict(zip(ids, p.truths))
+    return text, one_row_partition(ids, p.truths)
 
 
-def _both_readers(path, truths):
+def _both_readers(path, part):
     """The sets (or the errors) of the reader and of the reference."""
     out = []
     for read in (mt.read_predictions, _read_predictions_reference):
         try:
-            out.append(read(path, truths))
+            out.append(read(path, part))
         except ValueError as exc:
             out.append(exc)
     return out
@@ -380,13 +433,13 @@ def test_read_predictions_matches_reference_on_random_files(tmp_path):
     rng = np.random.default_rng(19)
     path = tmp_path / "preds.txt"
     for _ in range(150):
-        text, truths = _random_prediction_text(rng)
+        text, part = _random_prediction_text(rng)
         path.write_bytes(text.encode("utf-8"))
-        fast, slow = _both_readers(path, truths)
+        fast, slow = _both_readers(path, part)
         assert fast.video_ids == slow.video_ids
         assert np.array_equal(fast.scores.view(np.int64),
                               slow.scores.view(np.int64))
-        assert fast.truths == slow.truths
+        assert np.array_equal(fast.truths, slow.truths)
 
 
 def _drop_row(lines, rng):
@@ -435,7 +488,8 @@ def test_read_predictions_rejects_what_the_reference_rejects(tmp_path,
         mt.write_predictions(p, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(_FAULTS[fault](lines, rng)) + "\n")
-        fast, slow = _both_readers(path, dict(zip(p.video_ids, p.truths)))
+        fast, slow = _both_readers(path,
+                                   one_row_partition(p.video_ids, p.truths))
         assert isinstance(fast, ValueError) and str(path) in str(fast)
         assert isinstance(slow, ValueError)
         if fault not in _NEW_MESSAGES:

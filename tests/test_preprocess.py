@@ -301,6 +301,23 @@ def test_quantize_ragged_last_chunk(monkeypatch, elements):
     assert np.array_equal(pp.quantize(q, x), _ref_quantize(q, x))
 
 
+@pytest.mark.parametrize("elements", [1, 7, pp.QUANTIZE_ELEMENTS])
+def test_dequantize_chunks_match_one_gather(monkeypatch, elements):
+    # gathered a chunk of rows at a time, bit for bit the one-shot gather,
+    # also across a chunk boundary and in the last, ragged chunk
+    monkeypatch.setattr(pp, "QUANTIZE_ELEMENTS", elements)
+    q = _normal_quantizer(3)
+    rows = max(1, elements // q.dim)
+    codes = np.random.default_rng(34).integers(0, pp.N_CODES,
+                                               size=(2 * rows + 1, 3),
+                                               dtype=np.uint8)
+    want = q.reconstruction[np.arange(q.dim), codes]
+    got = pp.dequantize(q, codes)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert pp.dequantize(q, codes[0]).tobytes() == want[0].tobytes()
+    assert pp.dequantize(q, codes[:1, None]).shape == (1, 1, 3)
+
+
 # Test-only reference: the per-pass Lloyd-Max fit, which bins every sample
 # again on each iteration. The shipped fit sorts each column once.
 

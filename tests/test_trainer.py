@@ -8,6 +8,8 @@ from vidbase import data
 from vidbase import models as M
 from vidbase import trainer as tr
 
+from helpers import video_frames
+
 
 def model_bytes(model):
     """A model's settings and its arrays' bytes: equal for models that are
@@ -24,7 +26,7 @@ def toy_problem(seed=0, n=400, dim=4, sep=4.0):
     pos = rng.standard_normal((half, dim)) + sep / 2
     neg = rng.standard_normal((n - half, dim)) - sep / 2
     x = M.add_bias(np.concatenate([pos, neg]))
-    y = np.concatenate([np.ones(half), np.zeros(n - half)])
+    y = np.arange(n) < half
     perm = rng.permutation(n)
     return x[perm], y[perm]
 
@@ -129,7 +131,7 @@ def _expand_per_video_reference(partition, frames_per_video, seed):
     rng = np.random.default_rng(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0xF8A3]))
     rows, video_index = [], []
-    for vi, frames in enumerate(partition.videos()):
+    for vi, frames in enumerate(video_frames(partition)):
         n = frames.shape[0]
         picks = np.sort(rng.choice(n, size=min(n, frames_per_video),
                                    replace=False))
@@ -162,7 +164,7 @@ def test_expand_frame_examples_caps_per_video():
 def test_expand_frame_examples_frames_are_real_rows():
     videos = _tiny_videos(seed=1)
     frames, vidx = tr.expand_frame_examples(videos, 5, seed=3)
-    pools = list(videos.videos())
+    pools = list(video_frames(videos))
     for i, vi in enumerate(vidx):
         pool = pools[vi].astype(np.float64)
         assert any(np.array_equal(frames[i], row) for row in pool)
@@ -239,7 +241,7 @@ def test_bias_excluded_from_regularizer():
     # with only the bias active, a huge l2 must not produce any update force
     # beyond the data term: compare to an identical run with l2 = 0
     x = np.ones((50, 1))  # bias-only design
-    y = np.concatenate([np.ones(25), np.zeros(25)])
+    y = np.arange(50) < 25
     cfg0 = tr.TrainerConfig(model_kind="logistic", l2=1e-6, iterations=5, seed=4)
     cfg1 = tr.TrainerConfig(model_kind="logistic", l2=10.0, iterations=5, seed=4)
     m0 = M.LogisticModel.zeros(0, l2=cfg0.l2)
@@ -252,7 +254,7 @@ def test_bias_excluded_from_regularizer():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_loss_skips_label():
     x = np.array([[1e300, 1.0], [-1e300, 1.0]])
-    y = np.array([[1.0], [0.0]])
+    y = np.array([[True], [False]])
     cfg = tr.TrainerConfig(model_kind="hinge", learning_rate=1e280,
                            iterations=3, seed=5)
     _, (trace,) = tr.train_label(tr._make_model(1, 1, cfg), x, y, cfg, [0])
@@ -267,18 +269,19 @@ def test_nonfinite_loss_skips_label():
 def _bank_problem(seed=7, n=240, n_labels=4, dim=3):
     rng = np.random.default_rng(seed)
     centers = 4.0 * rng.standard_normal((n_labels, dim))
-    y = np.zeros((n, n_labels))
+    y = np.zeros((n, n_labels), dtype=bool)
     rows = np.empty((n, dim))
     for i in range(n):
         e = i % n_labels
         rows[i] = centers[e] + 0.3 * rng.standard_normal(dim)
-        y[i, e] = 1.0
+        y[i, e] = True
     return M.add_bias(rows), y
 
 
 def test_train_all_skips_single_class_labels():
     x, y = _bank_problem(n_labels=3)
-    y = np.concatenate([y, np.zeros((len(y), 1))], axis=1)  # label 3 empty
+    # label 3 empty
+    y = np.concatenate([y, np.zeros((len(y), 1), dtype=bool)], axis=1)
     cfg = tr.TrainerConfig(model_kind="logistic", iterations=2, seed=7)
     results = tr.train_all(x, y, cfg)
     assert results[3].skipped and "positive" in results[3].reason
@@ -348,9 +351,9 @@ def _lockstep_problem(n=250, n_labels=7, dim=4, seed=21):
     rng = np.random.default_rng(seed)
     x = M.add_bias(rng.standard_normal((n, dim)))
     rates = np.array([0.5, 0.1, 0.3, 0.0, 0.05, 0.2, 0.0])[:n_labels]
-    y = (rng.random((n, n_labels)) < rates).astype(float)
+    y = rng.random((n, n_labels)) < rates
     # the label depends on the features, so that training moves the loss
-    y[:, 0] = (x[:, 0] + 0.3 * rng.standard_normal(n) > 0).astype(float)
+    y[:, 0] = x[:, 0] + 0.3 * rng.standard_normal(n) > 0
     return x, y
 
 
