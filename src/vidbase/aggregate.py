@@ -1,9 +1,11 @@
 """Fixed-length video descriptors from frame features: mean, standard
 deviation, and per-dimension Top-K ordinal statistics; descriptor files."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from .data import DataFormatError, Partition, load_videos, save_videos
+from .data import DataFormatError, read_partition, write_partition
 from .preprocess import fit_whitening
 
 DEFAULT_TOP_K = 5
@@ -52,26 +54,23 @@ def fit_global_normalizer(descriptors):
 
 
 def write_descriptors(path, partition, matrix, layout, meta=None):
-    """Write the (V, d) descriptor matrix of a partition's videos as a
-    float32 descriptors container, with their ids and labels, the layout and
-    `meta`; returns its sha256."""
-    return save_videos(path, "descriptors",
-                       {"matrix": np.asarray(matrix, dtype="<f4")}, partition,
-                       dict(meta or {}, layout=[list(e) for e in layout]))
+    """Write the (V, d) descriptor matrix of a partition's videos as the
+    float32 frames of one-row videos, with their ids and labels, the layout
+    and `meta`; returns its sha256. A matrix not of one finite row per
+    video is a data error naming the file, and no file is written."""
+    try:
+        rows = replace(partition, frames=matrix,
+                       offsets=np.arange(len(partition) + 1))
+    except ValueError as exc:
+        raise DataFormatError("%s: %s" % (path, exc)) from exc
+    return write_partition(path, "descriptors", rows,
+                           dict(meta or {}, layout=[list(e) for e in layout]))
 
 
 def read_descriptors(path):
     """The partition of a descriptors container: video i is row i of
     `frames`, and `meta` holds the layout and the header's other entries."""
-    arrays, video_ids, labels, label_offsets, meta = load_videos(
-        path, "descriptors")
-    matrix = arrays.get("matrix")
-    if matrix is None or matrix.ndim != 2 or len(matrix) != len(video_ids):
-        raise DataFormatError("%s: the matrix must have one row per video"
-                              % path)
-    try:  # copied out of the file's buffer, as read_features does
-        return Partition(video_ids, matrix.copy(),
-                         np.arange(len(video_ids) + 1), labels.copy(),
-                         label_offsets, meta)
-    except ValueError as exc:
-        raise DataFormatError("%s: %s" % (path, exc)) from exc
+    partition = read_partition(path, "descriptors")
+    if len(partition.frames) != len(partition):
+        raise DataFormatError("%s: the matrix needs one row per video" % path)
+    return partition

@@ -56,7 +56,7 @@ def _write_report(path, pairs):
 
 
 def _read_vocab(dirpath):
-    """The label count of `dirpath`'s vocab.txt: one `<label id> <name>`
+    """(label count, path) of `dirpath`'s vocab.txt: one `<label id> <name>`
     line per label, ids 0..L-1 in order, names distinct, at least one."""
     path = os.path.join(dirpath, "vocab.txt")
     names = set()
@@ -75,24 +75,39 @@ def _read_vocab(dirpath):
             names.add(parts[1])
     if not names:
         raise ValueError("%s: the vocabulary has no label" % path)
-    return len(names)
+    return len(names), path
 
 
-def _features_path(dirpath, part):
-    return os.path.join(dirpath, "%s.features" % part)
+def _partition_path(dirpath, part, frame_level=True):
+    """`dirpath`'s features (frame level) or descriptors of `part`."""
+    return os.path.join(dirpath, "%s.%s" % (
+        part, "features" if frame_level else "desc"))
 
 
-def _input_dir(args, frame_level):
-    """--data at frame level, else --descriptors; a usage error if unset."""
+def _read_input(args, part, frame_level=None):
+    """Partition `part`'s features (frame level: --data) or descriptors
+    (video level: --descriptors; with no level, --descriptors if set, else
+    --data) and the file's path; a usage error if that flag is unset."""
+    if frame_level is None:  # evaluate and oracle take either flag
+        if not (args.data or args.descriptors):
+            raise UsageError("--data or --descriptors required")
+        frame_level = not args.descriptors
     flag = "data" if frame_level else "descriptors"
     if not getattr(args, flag):
         raise UsageError("--%s required at %s level"
                          % (flag, "frame" if frame_level else "video"))
-    return getattr(args, flag)
+    path = _partition_path(getattr(args, flag), part, frame_level)
+    read = data.read_features if frame_level else aggregate.read_descriptors
+    return read(path), path
 
 
-def _load_partition(dirpath, part):
-    return data.read_features(_features_path(dirpath, part))
+def _truths(partition, path, n_labels, source):
+    """The partition's (V, n_labels) truth matrix; a label id outside the
+    vocabulary of `source` is a data error naming both files."""
+    try:
+        return data.label_matrix(partition, n_labels)
+    except ValueError as exc:
+        raise ValueError("%s: %s of %s" % (path, exc, source)) from None
 
 
 def _check_space(meta, path, digest, source):
@@ -130,7 +145,7 @@ def cmd_gen_synthetic(args):
             "labels": args.labels, "whitened": False, "quantized": False,
             "space": None}
     for part in PARTITIONS:
-        data.write_features(splits[part], _features_path(args.out, part),
+        data.write_features(splits[part], _partition_path(args.out, part),
                             meta)
     return EXIT_OK
 
@@ -140,7 +155,7 @@ def cmd_preprocess(args):
         raise UsageError("fitting on %r leaks evaluation data; pass "
                          "--allow-fit-partition to override" % args.fit_partition)
     os.makedirs(args.out, exist_ok=True)
-    fit = _load_partition(args.data, args.fit_partition)
+    fit, _ = _read_input(args, args.fit_partition, True)
     d_out = args.dim_out or fit.dim
 
     transform = preprocess.fit_whitening(fit.frames, d_out)
@@ -165,7 +180,7 @@ def cmd_preprocess(args):
         if part == args.fit_partition:
             partition, z, fit, fit_z = fit, fit_z, None, None
         else:
-            partition = _load_partition(args.data, part)
+            partition, _ = _read_input(args, part, True)
             z = preprocess.apply_whitening(transform, partition.frames,
                                            l2_normalize=False)
         video_ids, offsets = partition.video_ids, partition.offsets
@@ -181,7 +196,7 @@ def cmd_preprocess(args):
         data.write_features(
             data.Partition(video_ids, z.astype(np.float32), offsets, labels,
                            label_offsets),
-            _features_path(args.out, part), meta)
+            _partition_path(args.out, part), meta)
 
     pairs = [("config_hash", chash), ("seed", args.seed), ("dim_out", d_out),
              ("quantized", int(args.quantize))]
@@ -200,7 +215,7 @@ def _encode_stats(args, partitions):
     if meta.get("whitened"):
         path = os.path.join(args.data, "transform.pca")
         transform, digest = preprocess.load_transform(path)
-        _check_space(meta, _features_path(args.data, "train"), digest, path)
+        _check_space(meta, _partition_path(args.data, "train"), digest, path)
 
     dim = partitions["train"].dim if transform is None else transform.dim
     layout = aggregate.descriptor_layout(dim, args.topk)
@@ -262,12 +277,12 @@ def _encode_codebook(args, partitions):
 
 def cmd_encode(args):
     os.makedirs(args.out, exist_ok=True)
-    partitions = {part: _load_partition(args.data, part)
+    partitions = {part: _read_input(args, part, True)[0]
                   for part in PARTITIONS}
     for part in PARTITIONS:  # one space: the one train's codebook is fit in
-        _check_space(partitions[part].meta, _features_path(args.data, part),
+        _check_space(partitions[part].meta, _partition_path(args.data, part),
                      partitions["train"].meta.get("space"),
-                     _features_path(args.data, "train"))
+                     _partition_path(args.data, "train"))
     if args.method == "stats":
         encoded, extras, space = _encode_stats(args, partitions)
     else:
@@ -277,7 +292,7 @@ def cmd_encode(args):
     meta = {"seed": args.seed, "config_hash": chash, "method": args.method,
             "space": space}
     for part, (mat, layout) in encoded.items():
-        aggregate.write_descriptors(os.path.join(args.out, "%s.desc" % part),
+        aggregate.write_descriptors(_partition_path(args.out, part, False),
                                     partitions[part], mat, layout, meta)
     pairs = [("config_hash", chash), ("seed", args.seed),
              ("method", args.method),
@@ -287,25 +302,20 @@ def cmd_encode(args):
     return EXIT_OK
 
 
-def _l2_normalize_rows(x):
-    """Scale each row to unit L2 norm; all-zero rows stay zero."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms == 0.0, 1.0, norms)
-
-
-def _training_data(args, frame_level, n_labels):
+def _training_data(args, frame_level):
     """The train partition's examples with a bias column, their (N, L)
-    bool targets and its feature space. A video's examples are its
-    descriptor row at video level, and at frame level a sample of its
-    frames, L2-normalized unless --no-l2-normalize."""
-    partition, _ = _read_input(args, "train", frame_level)
-    x, y = partition.frames, data.label_matrix(partition, n_labels)
+    bool targets over the vocabulary, and its feature space. A video's
+    examples are its descriptor row at video level, and at frame level a
+    sample of its frames, L2-normalized unless --no-l2-normalize."""
+    partition, path = _read_input(args, "train", frame_level)
+    vocab_dir = args.vocab_dir or args.data or args.descriptors
+    x, y = partition.frames, _truths(partition, path, *_read_vocab(vocab_dir))
     if frame_level:
         x, video_index = trainer.expand_frame_examples(
             partition, args.frames_per_video, seed=args.seed)
         y = y[video_index]
         if args.l2_normalize:
-            x = _l2_normalize_rows(x)
+            x = preprocess.unit_rows(x)
     return models.add_bias(x), y, partition.meta.get("space")
 
 
@@ -313,9 +323,7 @@ def cmd_train(args):
     if min(args.workers, args.frames_per_video) < 1:
         raise ValueError("--workers and --frames-per-video must be >= 1")
     frame_level = args.level == "frame"
-    _input_dir(args, frame_level)
-    n_labels = _read_vocab(args.vocab_dir or args.data or args.descriptors)
-    x, y, space = _training_data(args, frame_level, n_labels)
+    x, y, space = _training_data(args, frame_level)
 
     cfg = trainer.TrainerConfig(
         learning_rate=args.lr,
@@ -340,7 +348,7 @@ def cmd_train(args):
     meta = {"config_hash": _config_hash(args), "seed": args.seed,
             "level": args.level, "model": args.model,
             "l2_normalize": args.l2_normalize, "feature_dim": x.shape[1] - 1,
-            "labels": n_labels, "space": space,
+            "labels": y.shape[1], "space": space,
             "skipped": [[res.label_id, res.reason]
                         for res in results.values() if res.skipped]}
     if trained:
@@ -375,16 +383,6 @@ def _load_bank(path):
     return trainer.LabelBank(model, label_ids), meta
 
 
-def _read_input(args, part, frame_level):
-    """The features (frame level) or the descriptors of partition `part`,
-    from --data or --descriptors, and the file's path."""
-    if frame_level:
-        path = _features_path(_input_dir(args, True), part)
-        return data.read_features(path), path
-    path = os.path.join(_input_dir(args, False), "%s.desc" % part)
-    return aggregate.read_descriptors(path), path
-
-
 def cmd_predict(args):
     bank_path = os.path.join(args.bank, BANK_FILE)
     bank, meta = _load_bank(bank_path)
@@ -402,26 +400,19 @@ def cmd_predict(args):
         scores = trainer.predict_video_level(bank, x, meta["labels"])
     else:
         if meta["l2_normalize"]:
-            x = _l2_normalize_rows(x)
+            x = preprocess.unit_rows(x)
         scores = trainer.predict_video_frame_level(bank, x, inputs.offsets,
                                                    meta["labels"])
-    pset = metrics.PredictionSet(video_ids=inputs.video_ids, scores=scores,
-                                 truths=data.label_matrix(inputs,
-                                                          meta["labels"]))
+    pset = metrics.PredictionSet(
+        video_ids=inputs.video_ids, scores=scores,
+        truths=_truths(inputs, path, meta["labels"], bank_path))
     metrics.write_predictions(pset, args.out)
     return EXIT_OK
 
 
-def _read_predictions(args):
-    """--predictions with the ground truth of --partition's videos."""
-    if not (args.data or args.descriptors):
-        raise UsageError("--data or --descriptors required")
-    inputs, _ = _read_input(args, args.partition, not args.descriptors)
-    return metrics.read_predictions(args.predictions, inputs)
-
-
 def cmd_evaluate(args):
-    pset = _read_predictions(args)
+    pset = metrics.read_predictions(args.predictions,
+                                    _read_input(args, args.partition)[0])
     ks = tuple(int(k) for k in args.hit_k.split(","))
     pairs = [("config_hash", _config_hash(args)),
              ("seed", args.seed)]
@@ -433,7 +424,8 @@ def cmd_evaluate(args):
 
 
 def cmd_oracle(args):
-    pset = _read_predictions(args)
+    pset = metrics.read_predictions(args.predictions,
+                                    _read_input(args, args.partition)[0])
     fast_map, _, _ = metrics.mean_average_precision(pset)
     slow_map, _, _ = reference.brute_force_mean_ap(pset)
     rows = [("mAP", fast_map, slow_map)]

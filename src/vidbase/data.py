@@ -15,8 +15,8 @@ class Partition:
     """The videos of one partition: all their frames in one (ΣF, D) float32
     matrix, video i's frames at rows offsets[i]:offsets[i + 1], and all
     their label ids in one int64 array, video i's (ascending) at
-    labels[label_offsets[i]:label_offsets[i + 1]]. A descriptors file
-    reads back as a partition of one-row videos."""
+    labels[label_offsets[i]:label_offsets[i + 1]]. A features file holds
+    one, and a descriptors file one whose videos have one row each."""
 
     video_ids: tuple
     frames: np.ndarray         # (ΣF, D) float32
@@ -65,26 +65,26 @@ class Partition:
                          self.label_offsets[start:stop + 1] - lo, self.meta)
 
 
-def save_videos(path, kind, arrays, partition, meta=None):
-    """io.save of `arrays` with the partition's video ids added to `meta`,
-    and its labels as two arrays: each video's label count, and the label
-    ids in turn."""
-    counts = np.diff(partition.label_offsets).astype("<i8")
-    return io.save(path, kind,
-                   dict(arrays, label_counts=counts,
-                        labels=partition.labels.astype("<i8")),
-                   dict(meta or {}, video_ids=list(partition.video_ids)))
+def write_partition(path, kind, partition, meta=None):
+    """Write a partition as a container of `kind`: its float32 frames,
+    int64 frame offsets, each video's label count and the label ids in
+    turn, with its video ids added to `meta`; returns its sha256."""
+    return io.save(path, kind, {
+        "frames": np.asarray(partition.frames, dtype="<f4"),
+        "offsets": np.asarray(partition.offsets, dtype="<i8"),
+        "label_counts": np.diff(partition.label_offsets).astype("<i8"),
+        "labels": partition.labels.astype("<i8")},
+        dict(meta or {}, video_ids=list(partition.video_ids)))
 
 
-def load_videos(path, kind):
-    """The other arrays, the video ids, the label ids and their (V + 1,)
-    offsets, and the other header entries of a container that save_videos
-    wrote. Ids must be distinct strings, label counts and label ids
-    non-negative integers, one count per id, and each video's label ids
-    strictly increasing; otherwise a data error naming the file."""
+def read_partition(path, kind):
+    """The partition of a `kind` container that write_partition wrote, with
+    its header's other entries as `meta`. Distinct string ids, non-negative
+    integer label counts (one per id) and ids, each video's strictly
+    increasing, and a valid Partition, or a data error naming the file."""
     arrays, meta, _ = io.load(path, kind)
     ids = meta.pop("video_ids", None)
-    counts, flat = (arrays.pop(name, np.zeros(1))  # float: rejected below
+    counts, flat = (arrays.get(name, np.zeros(1))  # float: rejected below
                     for name in ("label_counts", "labels"))
     if not (isinstance(ids, list) and all(isinstance(v, str) for v in ids)):
         raise DataFormatError("%s: the header needs string video ids" % path)
@@ -101,32 +101,24 @@ def load_videos(path, kind):
     if len(falls):
         raise DataFormatError("%s: the label ids of video %s must be strictly "
                               "increasing" % (path, ids[owner[falls[0]]]))
-    label_offsets = np.concatenate(([0], np.cumsum(counts)))
-    return arrays, tuple(ids), flat, label_offsets, meta
-
-
-def write_features(partition, path, meta=None):
-    """Write a partition's float32 frames, offsets, labels, video ids and
-    `meta` as a features container; returns its sha256."""
-    return save_videos(path, "features",
-                       {"frames": np.asarray(partition.frames, dtype="<f4"),
-                        "offsets": np.asarray(partition.offsets, dtype="<i8")},
-                       partition, meta)
-
-
-def read_features(path):
-    """The partition of a features container, with its header's other
-    entries as `meta`."""
-    arrays, video_ids, labels, label_offsets, meta = load_videos(path,
-                                                                 "features")
     # copied out of the file's buffer, which is then freed: keeping it
     # raised the peak RSS of the stages by up to 5 MiB (glibc malloc)
     try:
-        return Partition(video_ids, arrays["frames"].copy(),
-                         arrays["offsets"].copy(), labels.copy(),
-                         label_offsets, meta)
+        return Partition(ids, arrays["frames"].copy(),
+                         arrays["offsets"].copy(), flat.copy(),
+                         np.concatenate(([0], np.cumsum(counts))), meta)
     except (KeyError, ValueError) as exc:
         raise DataFormatError("%s: %s" % (path, exc)) from exc
+
+
+def write_features(partition, path, meta=None):
+    """write_partition of a features container."""
+    return write_partition(path, "features", partition, meta)
+
+
+def read_features(path):
+    """read_partition of a features container."""
+    return read_partition(path, "features")
 
 
 def generate_synthetic(seed, n_labels, n_videos, dim, separation=5.0,
@@ -174,9 +166,10 @@ def label_matrix(partition, n_labels):
                      np.diff(partition.label_offsets))
     outside = np.flatnonzero(partition.labels >= n_labels)
     if len(outside):
-        raise ValueError("label id %d in row %d is outside the %d-label "
+        raise ValueError("label id %d of video %s is outside the %d-label "
                          "vocabulary" % (partition.labels[outside[0]],
-                                         rows[outside[0]], n_labels))
+                                         partition.video_ids[rows[outside[0]]],
+                                         n_labels))
     out = np.zeros((len(partition), n_labels), dtype=bool)
     out[rows, partition.labels] = True
     return out

@@ -106,19 +106,20 @@ def fit_whitening(frames, d_out, eps=EIG_EPS):
 
 
 def apply_whitening(transform, x, l2_normalize=True):
-    """z = A(x - mu), optionally L2-normalized, of a vector or an (N, D)
-    matrix. A zero projection with l2_normalize set stays zero (with a
-    warning)."""
+    """z = A(x - mu) of a vector or an (N, D) matrix, scaled by unit_rows
+    when l2_normalize is set."""
     # centering casts to float64 on the fly: no float64 copy of x
     z = np.subtract(x, transform.mean, dtype=np.float64) @ transform.matrix.T
-    if l2_normalize:
-        norms = np.linalg.norm(z, axis=-1, keepdims=True)
-        zero = norms == 0.0
-        if np.any(zero):
-            warnings.warn("zero vector after projection; left unnormalized")
-            norms = np.where(zero, 1.0, norms)
-        z = z / norms
-    return z
+    return unit_rows(z) if l2_normalize else z
+
+
+def unit_rows(z):
+    """A vector, or each row of a matrix, scaled to unit L2 norm; a zero
+    one stays zero (with a warning)."""
+    norms = np.linalg.norm(z, axis=-1, keepdims=True)
+    if np.any(norms == 0.0):
+        warnings.warn("zero vector; left unnormalized")
+    return z / np.where(norms == 0.0, 1.0, norms)
 
 
 def _strictly_increasing(b):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vidbase import aggregate as agg
-from vidbase import data, io
+from vidbase import io
+from vidbase.io import DataFormatError
 
 from helpers import label_lists, labelled
 
@@ -190,9 +191,25 @@ def test_descriptor_file_rejects_non_utf8_ids(tmp_path):
 
 def test_descriptor_matrix_needs_a_row_per_video(tmp_path):
     path = tmp_path / "r.desc"
-    data.save_videos(path, "descriptors",
-                     {"matrix": np.ones((3, 2), dtype="<f4")},
-                     labelled(["a", "b"], [{0}, {1}]), {"layout": []})
+    # a valid partition whose second video has two rows
+    io.save(path, "descriptors",
+            {"frames": np.ones((3, 2), dtype="<f4"),
+             "offsets": np.array([0, 1, 3], dtype="<i8"),
+             "label_counts": np.array([1, 1], dtype="<i8"),
+             "labels": np.array([0, 1], dtype="<i8")},
+            {"layout": [], "video_ids": ["a", "b"]})
     with pytest.raises(ValueError, match="one row per video") as err:
         agg.read_descriptors(path)
     assert str(path) in str(err.value)
+
+
+def test_write_descriptors_refuses_a_non_finite_matrix(tmp_path):
+    # the writer checks what the reader checks: no file is written
+    path = tmp_path / "n.desc"
+    matrix = np.ones((3, 2))
+    matrix[1, 0] = np.nan
+    with pytest.raises(DataFormatError, match="finite") as err:
+        agg.write_descriptors(path, labelled(["a", "b", "c"], [{0}, {1}, {0}]),
+                              matrix, (("mean", 0, 2),))
+    assert str(path) in str(err.value)
+    assert not path.exists()

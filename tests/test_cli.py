@@ -729,6 +729,52 @@ def test_predict_rejects_label_outside_vocabulary(corpus, encoded, bank,
     assert not (tmp_path / "p.txt").exists()
 
 
+def test_train_names_the_file_the_video_and_the_vocabulary(corpus, encoded,
+                                                            tmp_path, capsys):
+    # a 2-label vocab.txt over the 4-label corpus: the first train video
+    # with a label id past it is named, with both files
+    vocab = tmp_path / "vocab"
+    vocab.mkdir()
+    (vocab / "vocab.txt").write_text("0 a\n1 b\n")
+    train = aggregate.read_descriptors(encoded / "train.desc")
+    first = next(vid for vid, labs in zip(train.video_ids, label_lists(train))
+                 if labs[-1] >= 2)
+    capsys.readouterr()
+    code = run("train", "--descriptors", str(encoded), "--vocab-dir",
+               str(vocab), "--out", str(tmp_path / "bank"),
+               "--model", "logistic", "--iterations", "1")
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(encoded / "train.desc") in err
+    assert "video %s" % first in err
+    assert str(vocab / "vocab.txt") in err
+    assert not (tmp_path / "bank").exists()
+
+
+def test_predict_names_the_file_the_video_and_the_bank(corpus, tmp_path,
+                                                       capsys):
+    # test.features's last label id set to 999 under a valid digest: the
+    # frame-level predict names the file, its last video and the bank
+    fbank = tmp_path / "fbank"
+    assert run("train", "--data", str(corpus), "--out", str(fbank),
+               "--model", "logistic", "--level", "frame",
+               "--iterations", "1") == cli.EXIT_OK
+    feats = _copy_dir(corpus, tmp_path / "feats")
+    arrays, meta, _ = io.load(feats / "test.features", "features")
+    arrays = {name: a.copy() for name, a in arrays.items()}
+    arrays["labels"][-1] = 999
+    io.save(feats / "test.features", "features", arrays, meta)
+    capsys.readouterr()
+    code = run("predict", "--bank", str(fbank), "--data", str(feats),
+               "--out", str(tmp_path / "p.txt"))
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "label id 999" in err and str(feats / "test.features") in err
+    assert "video %s" % meta["video_ids"][-1] in err
+    assert str(fbank / cli.BANK_FILE) in err
+    assert not (tmp_path / "p.txt").exists()
+
+
 def _edit_train_labels(case, arrays, meta):
     """train.desc's label arrays or header edited for one case, and what
     the error names."""
@@ -863,11 +909,10 @@ def test_non_finite_descriptors_exit_2_naming_the_file(corpus, encoded, bank,
     desc = tmp_path / "desc"
     desc.mkdir()
     for part in ("train", "test"):
-        partition = aggregate.read_descriptors(encoded / ("%s.desc" % part))
-        matrix = partition.frames.copy()
-        matrix[1, 2] = np.nan
-        data.save_videos(desc / ("%s.desc" % part), "descriptors",
-                         {"matrix": matrix}, partition, partition.meta)
+        arrays, meta, _ = io.load(encoded / ("%s.desc" % part), "descriptors")
+        arrays = {name: a.copy() for name, a in arrays.items()}
+        arrays["frames"][1, 2] = np.nan
+        io.save(desc / ("%s.desc" % part), "descriptors", arrays, meta)
     for argv, victim in (
             (["train", "--descriptors", str(desc), "--vocab-dir",
               str(corpus), "--out", str(tmp_path / "b")], desc / "train.desc"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from vidbase import data, io
 
-from helpers import label_arrays, label_lists, labelled, video_frames
+from helpers import label_arrays, label_lists, video_frames
 
 
 def make_partition(videos, dim=None):
@@ -114,10 +114,12 @@ def test_zero_frame_video_rejected(tmp_path):
     # a well-formed container may give a video zero frames; the reader
     # refuses it, naming the file
     path = tmp_path / "z.features"
-    data.save_videos(path, "features",
-                     {"frames": np.ones((1, 2), dtype="<f4"),
-                      "offsets": np.array([0, 0, 1], dtype="<i8")},
-                     labelled(["v0", "v1"], [{0}, {1}]))
+    io.save(path, "features",
+            {"frames": np.ones((1, 2), dtype="<f4"),
+             "offsets": np.array([0, 0, 1], dtype="<i8"),
+             "label_counts": np.array([1, 1], dtype="<i8"),
+             "labels": np.array([0, 1], dtype="<i8")},
+            {"video_ids": ["v0", "v1"]})
     with pytest.raises(data.DataFormatError, match="at least one frame") as err:
         data.read_features(path)
     assert str(path) in str(err.value)
@@ -255,3 +257,38 @@ def test_manifest_roundtrip(tmp_path):
     back = data.read_features(tmp_path / "m.features")
     assert back.meta == meta
     assert back.slice(1, 2).meta == meta
+
+
+def _one_row_videos(rng, n_videos, dim):
+    """A partition of `n_videos` one-row videos with random labels."""
+    labs = [set(rng.choice(6, size=rng.integers(0, 3), replace=False).tolist())
+            for _ in range(n_videos)]
+    return data.Partition(["d%d" % i for i in range(n_videos)],
+                          rng.standard_normal((n_videos, dim)),
+                          np.arange(n_videos + 1), *label_arrays(labs))
+
+
+@pytest.mark.parametrize("kind", ["features", "descriptors"])
+@pytest.mark.parametrize("n_videos", [0, 1, 60])
+def test_partition_container_roundtrip(tmp_path, kind, n_videos):
+    # features and descriptors are one layout: both kinds give back the
+    # frames bit for bit, the offsets, the labels and the meta
+    rng = np.random.default_rng(n_videos)
+    if kind == "descriptors":
+        part = _one_row_videos(rng, n_videos, 5)
+    elif n_videos:
+        part = data.generate_synthetic(n_videos, 3, n_videos, 5)
+    else:
+        part = make_partition([], dim=5)
+    meta = {"seed": n_videos, "space": "s", "layout": [["mean", 0, 5]]}
+    path = tmp_path / ("p." + kind)
+    digest = data.write_partition(path, kind, part, meta)
+    back = data.read_partition(path, kind)
+    assert back.frames.shape == part.frames.shape
+    assert np.array_equal(back.frames.view("u4"), part.frames.view("u4"))
+    for name in ("offsets", "labels", "label_offsets"):
+        assert np.array_equal(getattr(back, name), getattr(part, name)), name
+    assert back.video_ids == part.video_ids and back.meta == meta
+    assert digest == io.load(path, kind).sha256
+    with pytest.raises(data.DataFormatError, match="holds %s" % kind):
+        data.read_partition(path, "bank")

@@ -3,6 +3,7 @@ rejects damaged, foreign and other-kind files, naming the file, and no
 module but io.py decides a binary format."""
 
 import ast
+import re
 import os
 
 import numpy as np
@@ -208,3 +209,24 @@ def test_only_io_decides_a_binary_format():
         kinds = {what for _, what in _binary_io(ast.parse(fh.read()))}
     assert kinds == {"import struct", "binary or unknown open mode"}
     assert _binary_io(ast.parse("from struct import pack\nopen(p, mode=m)"))
+
+
+def _readme_artifact_arrays():
+    """kind -> the arrays cell of its row in the README's Artifacts table."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(SRC)),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read().split("## Artifacts", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in text.splitlines()
+            if line.startswith("| `")]
+    return {cells[1].strip(): cells[2] for cells in rows}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_readme_names_every_array_written(artifacts, kind):
+    # each array a kind's writer puts in its file is named in that kind's
+    # row of the README's Artifacts table
+    cell = _readme_artifact_arrays()[kind]
+    path, _ = artifacts[kind]
+    for name in io.load(path, kind).arrays:
+        assert re.search(r"\b%s\b" % name, cell), (kind, name, cell)
