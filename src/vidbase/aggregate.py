@@ -1,14 +1,15 @@
-"""Fixed-length video descriptors from frame features: mean, standard
-deviation, and per-dimension Top-K ordinal statistics; descriptor files."""
+"""Mean, standard deviation and per-dimension Top-K descriptors of a video,
+a stack of equal-length videos or a whole partition; descriptor files."""
 
 from dataclasses import replace
 
 import numpy as np
 
+from . import preprocess
 from .data import DataFormatError, read_partition, write_partition
-from .preprocess import fit_whitening
 
 DEFAULT_TOP_K = 5
+STACK_ELEMENTS = 1 << 15  # float64 values in one stack of encode_stats
 
 
 def aggregate_mean_std(frames):
@@ -46,11 +47,30 @@ def build_descriptor(frames, k=DEFAULT_TOP_K):
     return np.concatenate([mean, std, aggregate_topk(frames, k)], axis=-1)
 
 
+def encode_stats(frames, offsets, k, transform=None):
+    """The (V, (2 + k) * D) descriptors of a partition's frames, inverted
+    through `transform` first if given. A stack holds videos of one frame
+    count, at most STACK_ELEMENTS values, so each gets its bits alone."""
+    counts = np.diff(offsets)
+    dim = frames.shape[1] if transform is None else transform.dim
+    matrix = np.empty((len(counts), (2 + k) * dim))
+    for n_frames in np.unique(counts).tolist():
+        videos = np.flatnonzero(counts == n_frames)
+        step = max(1, STACK_ELEMENTS // (n_frames * dim))
+        for start in range(0, len(videos), step):
+            rows = videos[start:start + step]
+            stack = frames[offsets[rows, None] + np.arange(n_frames)]
+            if transform is not None:
+                stack = preprocess.invert_whitening(transform, stack)
+            matrix[rows] = build_descriptor(stack, k=k)
+    return matrix
+
+
 def fit_global_normalizer(descriptors):
     """Whitening transform over descriptor space, fit on a (V, d) matrix
     (center -> whiten; apply with apply_whitening(..., l2_normalize=True))."""
     sample = np.asarray(descriptors, dtype=np.float64)
-    return fit_whitening(sample, sample.shape[1])
+    return preprocess.fit_whitening(sample, sample.shape[1])
 
 
 def write_descriptors(path, partition, matrix, layout, meta=None):

@@ -23,7 +23,6 @@ EXIT_NUMERIC = 3
 
 PARTITIONS = ("train", "validate", "test")
 BANK_FILE = "bank.bin"
-STACK_ELEMENTS = 1 << 15  # float64 values in one stack of stats encode
 
 
 class UsageError(Exception):
@@ -207,96 +206,68 @@ def cmd_preprocess(args):
     return EXIT_OK
 
 
-def _encode_stats(args, partitions):
-    # std and Top_K are more meaningful in the original activation space,
-    # so whitened inputs are mapped back before aggregation
-    meta = partitions["train"].meta
-    transform = None
-    if meta.get("whitened"):
-        path = os.path.join(args.data, "transform.pca")
-        transform, digest = preprocess.load_transform(path)
-        _check_space(meta, _partition_path(args.data, "train"), digest, path)
-
-    dim = partitions["train"].dim if transform is None else transform.dim
-    layout = aggregate.descriptor_layout(dim, args.topk)
-    width = (2 + args.topk) * dim
-    descriptors = {}
-    for part, p in partitions.items():
-        # the videos of one frame count go a stack at a time, at most
-        # STACK_ELEMENTS values each: a video in a stack gets the bits it
-        # gets alone
-        counts = np.diff(p.offsets)
-        matrix = descriptors[part] = np.empty((len(p), width))
-        for n_frames in np.unique(counts).tolist():
-            videos = np.flatnonzero(counts == n_frames)
-            step = max(1, STACK_ELEMENTS // (n_frames * dim))
-            for start in range(0, len(videos), step):
-                rows = videos[start:start + step]
-                stack = p.frames[p.offsets[rows, None] + np.arange(n_frames)]
-                if transform is not None:
-                    stack = preprocess.invert_whitening(transform, stack)
-                matrix[rows] = aggregate.build_descriptor(stack, k=args.topk)
-    normalizer = aggregate.fit_global_normalizer(descriptors["train"])
-    space = preprocess.save_transform(normalizer,
-                                      os.path.join(args.out, "normalizer.pca"))
-    out = {part: (preprocess.apply_whitening(normalizer, descs,
-                                             l2_normalize=True), layout)
-           for part, descs in descriptors.items()}
-    extras = {"reconstructed": "1" if transform is not None else "0",
-              "quantized_input": "1" if meta.get("quantized") else "0"}
-    return out, extras, space
-
-
-def _encode_codebook(args, partitions):
-    train_frames = partitions["train"].frames
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xE4C]))
-    if len(train_frames) > args.codebook_sample:
-        pick = np.sort(rng.choice(len(train_frames), args.codebook_sample,
-                                  replace=False))
-        train_frames = train_frames[pick]
-
-    if args.method == "fisher":
-        gmm = encoders.fit_gmm(train_frames, args.mixtures, seed=args.seed)
-        space = encoders.save_gmm(gmm, os.path.join(args.out, "codebook.gmm"))
-        encode = lambda p: encoders.encode_fisher(p.frames, gmm, p.offsets)
-        dim = 2 * args.mixtures * train_frames.shape[1]
-        extras = {"mixtures": str(args.mixtures)}
-    else:
-        km = encoders.fit_kmeans(train_frames, args.clusters, seed=args.seed)
-        space = encoders.save_kmeans(km,
-                                     os.path.join(args.out, "codebook.kms"))
-        encode = lambda p: encoders.encode_vlad(p.frames, km, p.offsets)
-        dim = args.clusters * train_frames.shape[1]
-        extras = {"clusters": str(args.clusters)}
-
-    layout = ((args.method, 0, dim),)
-    out = {part: (encode(partition), layout)
-           for part, partition in partitions.items()}
-    return out, extras, space
-
-
 def cmd_encode(args):
     os.makedirs(args.out, exist_ok=True)
     partitions = {part: _read_input(args, part, True)[0]
                   for part in PARTITIONS}
+    train = partitions["train"]
+    train_path = _partition_path(args.data, "train")
     for part in PARTITIONS:  # one space: the one train's codebook is fit in
         _check_space(partitions[part].meta, _partition_path(args.data, part),
-                     partitions["train"].meta.get("space"),
-                     _partition_path(args.data, "train"))
+                     train.meta.get("space"), train_path)
     if args.method == "stats":
-        encoded, extras, space = _encode_stats(args, partitions)
+        # std and Top_K are more meaningful in the original activation
+        # space, so whitened inputs are mapped back before aggregation
+        transform = None
+        if train.meta.get("whitened"):
+            path = os.path.join(args.data, "transform.pca")
+            transform, digest = preprocess.load_transform(path)
+            _check_space(train.meta, train_path, digest, path)
+        dim = train.dim if transform is None else transform.dim
+        layout = aggregate.descriptor_layout(dim, args.topk)
+        encode = lambda p: aggregate.encode_stats(p.frames, p.offsets,
+                                                  args.topk, transform)
+        extras = {"reconstructed": int(transform is not None),
+                  "quantized_input": int(bool(train.meta.get("quantized")))}
     else:
-        encoded, extras, space = _encode_codebook(args, partitions)
+        sample = train.frames
+        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xE4C]))
+        if len(sample) > args.codebook_sample:
+            sample = sample[np.sort(rng.choice(
+                len(sample), args.codebook_sample, replace=False))]
+        if args.method == "fisher":
+            gmm = encoders.fit_gmm(sample, args.mixtures, seed=args.seed)
+            space = encoders.save_gmm(gmm,
+                                      os.path.join(args.out, "codebook.gmm"))
+            encode = lambda p: encoders.encode_fisher(p.frames, gmm, p.offsets)
+            layout = (("fisher", 0, 2 * args.mixtures * train.dim),)
+            extras = {"mixtures": args.mixtures}
+        else:
+            km = encoders.fit_kmeans(sample, args.clusters, seed=args.seed)
+            space = encoders.save_kmeans(km,
+                                         os.path.join(args.out, "codebook.kms"))
+            encode = lambda p: encoders.encode_vlad(p.frames, km, p.offsets)
+            layout = (("vlad", 0, args.clusters * train.dim),)
+            extras = {"clusters": args.clusters}
+
+    encoded = {part: encode(p) for part, p in partitions.items()}
+    if args.method == "stats":
+        normalizer = aggregate.fit_global_normalizer(encoded["train"])
+        space = preprocess.save_transform(
+            normalizer, os.path.join(args.out, "normalizer.pca"))
+        encoded = {part: preprocess.apply_whitening(normalizer, descs,
+                                                    l2_normalize=True)
+                   for part, descs in encoded.items()}
 
     chash = _config_hash(args)
     meta = {"seed": args.seed, "config_hash": chash, "method": args.method,
             "space": space}
-    for part, (mat, layout) in encoded.items():
+    for part, mat in encoded.items():
         aggregate.write_descriptors(_partition_path(args.out, part, False),
                                     partitions[part], mat, layout, meta)
     pairs = [("config_hash", chash), ("seed", args.seed),
              ("method", args.method),
-             ("descriptor_dim", encoded["train"][0].shape[1])]
+             ("descriptor_dim", encoded["train"].shape[1])]
     pairs += sorted(extras.items())
     _write_report(os.path.join(args.out, "report.txt"), pairs)
     return EXIT_OK
@@ -363,7 +334,7 @@ def cmd_train(args):
 def _load_bank(path):
     """The LabelBank of the bank file at `path` (None when it trained no
     label) and its header meta, checked: the keys predict reads, and a
-    model for each label id in the vocabulary."""
+    model for each of its strictly increasing label ids in the vocabulary."""
     arrays, meta, _ = io.load(path, "bank")
     for key in ("level", "l2_normalize", "feature_dim", "labels", "space"):
         if key not in meta:
@@ -375,11 +346,12 @@ def _load_bank(path):
         model = models.deserialize_model(arrays, meta.get("params", {}))
     except ValueError as exc:
         raise data.DataFormatError("%s: %s" % (path, exc)) from exc
-    if (model.n_labels != len(label_ids)
-            or not 0 <= label_ids.min() <= label_ids.max() < meta["labels"]):
-        raise data.DataFormatError("%s: %d models for label ids %s of %d"
-                                   % (path, model.n_labels, label_ids.tolist(),
-                                      meta["labels"]))
+    if (model.n_labels != len(label_ids) or np.any(np.diff(label_ids) <= 0)
+            or not 0 <= label_ids[0] <= label_ids[-1] < meta["labels"]):
+        raise data.DataFormatError(
+            "%s: %d models for label ids %s, which must be strictly "
+            "increasing in [0, %d)" % (path, model.n_labels,
+                                       label_ids.tolist(), meta["labels"]))
     return trainer.LabelBank(model, label_ids), meta
 
 

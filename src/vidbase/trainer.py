@@ -30,8 +30,6 @@ class TrainingError(Exception):
 @dataclass
 class SamplingPlan:
     label_id: int
-    cap: int
-    seed: int
     true_pos: int
     true_neg: int
     sampled_pos: int
@@ -55,9 +53,9 @@ class TrainerConfig:
     hinge_margin: float = 1.0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.l2 + 1,
-               self.iterations, self.sample_cap) <= 0:
-            raise ValueError("config values must be positive")
+        if min(self.learning_rate, self.batch_size, self.iterations,
+               self.sample_cap) <= 0 or self.l2 < 0:
+            raise ValueError("config values must be positive, and l2 >= 0")
         if self.model_kind not in M.KINDS:
             raise ValueError("unknown model kind %r" % self.model_kind)
 
@@ -102,7 +100,7 @@ def build_sampling_plan(label_id, positives_mask, cap, seed):
         neg_sample = np.sort(rng.choice(neg_idx, sampled_neg, replace=False))
 
     w_plus = math.sqrt((true_pos * sampled_neg) / (true_neg * sampled_pos))
-    return SamplingPlan(label_id=label_id, cap=cap, seed=seed,
+    return SamplingPlan(label_id=label_id,
                         true_pos=true_pos, true_neg=true_neg,
                         sampled_pos=sampled_pos, sampled_neg=sampled_neg,
                         w_plus=w_plus, w_minus=1.0 / w_plus,

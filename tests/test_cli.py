@@ -232,42 +232,32 @@ def test_encode_stats_matches_fresh_pinv_per_video(preprocessed, tmp_path,
     assert len(calls) == 1
 
     def invert_fresh(transform, z):
+        fresh_calls.append(1)
         return np.atleast_2d(z) @ pinv(transform.matrix).T + transform.mean
 
+    fresh_calls = []
     monkeypatch.setattr(preprocess, "invert_whitening", invert_fresh)
     fresh = tmp_path / "fresh"
     assert run("encode", "--data", str(preprocessed), "--out", str(fresh),
                "--method", "stats") == cli.EXIT_OK
+    # the encoder looks the inverse up through the module, so the patched
+    # one is what ran
+    assert fresh_calls
     for name in sorted(os.listdir(fresh)):
         assert (cached / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
-def _per_video_encode_stats(args, partitions):
+def _per_video_encode_stats(frames, offsets, k, transform=None):
     # the stats encoder as one loop over single videos: each video's frames
     # inverted and described on their own
-    transform = None
-    if partitions["train"].meta.get("whitened"):
-        transform, _ = preprocess.load_transform(
-            os.path.join(args.data, "transform.pca"))
-    dim = partitions["train"].dim if transform is None else transform.dim
-    descriptors = {}
-    for part, partition in partitions.items():
-        descs = descriptors[part] = np.empty((len(partition),
-                                              (2 + args.topk) * dim))
-        for i, frames in enumerate(video_frames(partition)):
-            if transform is not None:
-                frames = preprocess.invert_whitening(transform, frames)
-            descs[i] = aggregate.build_descriptor(frames, k=args.topk)
-    normalizer = aggregate.fit_global_normalizer(descriptors["train"])
-    space = preprocess.save_transform(normalizer,
-                                      os.path.join(args.out, "normalizer.pca"))
-    layout = aggregate.descriptor_layout(dim, args.topk)
-    out = {part: (preprocess.apply_whitening(normalizer, d), layout)
-           for part, d in descriptors.items()}
-    extras = {"reconstructed": "1" if transform is not None else "0",
-              "quantized_input": "1" if partitions["train"].meta.get(
-                  "quantized") else "0"}
-    return out, extras, space
+    dim = frames.shape[1] if transform is None else transform.dim
+    descs = np.empty((len(offsets) - 1, (2 + k) * dim))
+    for i in range(len(descs)):
+        video = frames[offsets[i]:offsets[i + 1]]
+        if transform is not None:
+            video = preprocess.invert_whitening(transform, video)
+        descs[i] = aggregate.build_descriptor(video, k=k)
+    return descs
 
 
 @pytest.fixture(scope="module")
@@ -293,11 +283,11 @@ def test_encode_stats_bytes_equal_per_video_loop(case, request, tmp_path,
     if case == "many-stacks":
         # 1 to 3 videos of 4 to 12 frames of dimension 8 per stack: every
         # frame count spans several stacks
-        monkeypatch.setattr(cli, "STACK_ELEMENTS", 100)
+        monkeypatch.setattr(aggregate, "STACK_ELEMENTS", 100)
     argv = ["encode", "--data", str(data_dir), "--method", "stats",
             "--topk", "5", "--out"]
     assert run(*argv, str(tmp_path / "stacked")) == cli.EXIT_OK
-    monkeypatch.setattr(cli, "_encode_stats", _per_video_encode_stats)
+    monkeypatch.setattr(aggregate, "encode_stats", _per_video_encode_stats)
     assert run(*argv, str(tmp_path / "per_video")) == cli.EXIT_OK
     names = sorted(os.listdir(tmp_path / "per_video"))
     assert names == sorted(os.listdir(tmp_path / "stacked"))
@@ -586,6 +576,16 @@ def test_frame_level_train_predict(corpus, tmp_path):
     partition = data.read_features(os.path.join(corpus, "validate.features"))
     n_lines = len(preds.read_text().splitlines())
     assert n_lines == len(partition) * 4
+
+
+def test_train_rejects_a_negative_l2(corpus, tmp_path, capsys):
+    # a negative L2 term makes the regularized loss unbounded below
+    out = tmp_path / "bank"
+    assert run("train", "--data", str(corpus), "--out", str(out),
+               "--level", "frame", "--model", "logistic", "--l2", "-0.9",
+               "--iterations", "1") == cli.EXIT_DATA
+    assert "l2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_codes():
@@ -940,13 +940,18 @@ def _rewrite_bank(bank, dst, edit):
 def test_predict_rejects_bank_it_cannot_stack(encoded, bank, tmp_path, capsys):
     # a bank is one container, so its labels cannot mix kinds or shapes;
     # its models must still match its label ids and its model settings:
-    # fewer ids than models, an id past the vocabulary, a missing array
-    # and another model kind are each a data error naming the file
+    # fewer ids than models, an id past the vocabulary, a repeated id, ids
+    # out of order, a missing array and another model kind are each a data
+    # error naming the file
     for n, edit in enumerate((
             lambda arrays, meta: arrays.update(
                 label_ids=arrays["label_ids"][:3]),
             lambda arrays, meta: arrays.update(
                 label_ids=arrays["label_ids"] + 1),
+            lambda arrays, meta: arrays.update(
+                label_ids=np.r_[0, arrays["label_ids"][:-1]]),
+            lambda arrays, meta: arrays.update(
+                label_ids=arrays["label_ids"][::-1].copy()),
             lambda arrays, meta: arrays.pop("experts"),
             lambda arrays, meta: meta["params"].update(kind="logistic"))):
         path = _rewrite_bank(bank, tmp_path / ("bank%d" % n), edit)

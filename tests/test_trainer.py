@@ -179,6 +179,14 @@ def test_expand_frame_examples_deterministic():
 
 # --------------------------------------------------------------- training
 
+def test_config_rejects_a_negative_l2():
+    # a negative L2 term makes the regularized loss unbounded below; zero
+    # leaves the loss unregularized
+    with pytest.raises(ValueError, match="l2"):
+        tr.TrainerConfig(l2=-0.5)
+    assert tr.TrainerConfig(l2=0.0).l2 == 0.0
+
+
 @pytest.mark.parametrize("kind", ["logistic", "hinge", "moe"])
 def test_training_separable_problem(kind):
     x, y = toy_problem(seed=3)
