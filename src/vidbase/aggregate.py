@@ -68,9 +68,13 @@ def encode_stats(frames, offsets, k, transform=None):
 
 def fit_global_normalizer(descriptors):
     """Whitening transform over descriptor space, fit on a (V, d) matrix
-    (center -> whiten; apply with apply_whitening(..., l2_normalize=True))."""
+    (center -> whiten; apply with apply_whitening(..., l2_normalize=True))
+    onto its rank, below d when reduced frames' means span fewer dims."""
     sample = np.asarray(descriptors, dtype=np.float64)
-    return preprocess.fit_whitening(sample, sample.shape[1])
+    try:
+        return preprocess.fit_whitening(sample, sample.shape[1])
+    except preprocess.RankError as exc:
+        return preprocess.fit_whitening(sample, exc.effective_rank)
 
 
 def write_descriptors(path, partition, matrix, layout, meta=None):

@@ -3,7 +3,7 @@ predict, evaluate, and oracle subcommands.
 
 Every stage reads and writes files only, so each subcommand is re-runnable
 and idempotent for the same inputs. Text artifacts embed the invoking
-config hash and seed.
+config hash, and the stages that draw random numbers record their seed.
 """
 
 import argparse
@@ -23,6 +23,8 @@ EXIT_NUMERIC = 3
 
 PARTITIONS = ("train", "validate", "test")
 BANK_FILE = "bank.bin"
+# Fisher and VLAD fit their codebook on at most this many train frames
+CODEBOOK_SAMPLE = 100_000
 
 
 class UsageError(Exception):
@@ -122,6 +124,9 @@ def _check_space(meta, path, digest, source):
 def cmd_gen_synthetic(args):
     if args.labels < 1 or args.videos < 1 or args.dim < 1:
         raise UsageError("--labels, --videos, --dim must be >= 1")
+    for flag in ("separation", "scale"):
+        if not np.isfinite(getattr(args, flag)):
+            raise UsageError("--%s must be finite" % flag)
     os.makedirs(args.out, exist_ok=True)
     corpus = data.generate_synthetic(args.seed, args.labels, args.videos,
                                      args.dim, separation=args.separation,
@@ -150,11 +155,8 @@ def cmd_gen_synthetic(args):
 
 
 def cmd_preprocess(args):
-    if args.fit_partition != "train" and not args.allow_fit_partition:
-        raise UsageError("fitting on %r leaks evaluation data; pass "
-                         "--allow-fit-partition to override" % args.fit_partition)
     os.makedirs(args.out, exist_ok=True)
-    fit, _ = _read_input(args, args.fit_partition, True)
+    fit, _ = _read_input(args, "train", True)
     d_out = args.dim_out or fit.dim
 
     transform = preprocess.fit_whitening(fit.frames, d_out)
@@ -170,13 +172,13 @@ def cmd_preprocess(args):
             quantizer, os.path.join(args.out, "quantizer.qnt"))
 
     chash = _config_hash(args)
-    meta = {"seed": args.seed, "config_hash": chash, "whitened": True,
+    meta = {"config_hash": chash, "whitened": True,
             "quantized": quantizer is not None, "space": space,
             "quantizer": quantizer_sha}
     roundtrip_num = roundtrip_den = 0.0
     for part in PARTITIONS:
         # whiten, and quantize when asked, the partition's frames in one pass
-        if part == args.fit_partition:
+        if part == "train":
             partition, z, fit, fit_z = fit, fit_z, None, None
         else:
             partition, _ = _read_input(args, part, True)
@@ -197,7 +199,7 @@ def cmd_preprocess(args):
                            label_offsets),
             _partition_path(args.out, part), meta)
 
-    pairs = [("config_hash", chash), ("seed", args.seed), ("dim_out", d_out),
+    pairs = [("config_hash", chash), ("dim_out", d_out),
              ("quantized", int(args.quantize))]
     if quantizer is not None and roundtrip_den > 0:
         pairs.append(("quantization_relative_rmse",
@@ -232,9 +234,9 @@ def cmd_encode(args):
     else:
         sample = train.frames
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xE4C]))
-        if len(sample) > args.codebook_sample:
+        if len(sample) > CODEBOOK_SAMPLE:
             sample = sample[np.sort(rng.choice(
-                len(sample), args.codebook_sample, replace=False))]
+                len(sample), CODEBOOK_SAMPLE, replace=False))]
         if args.method == "fisher":
             gmm = encoders.fit_gmm(sample, args.mixtures, seed=args.seed)
             space = encoders.save_gmm(gmm,
@@ -277,16 +279,14 @@ def _training_data(args, frame_level):
     """The train partition's examples with a bias column, their (N, L)
     bool targets over the vocabulary, and its feature space. A video's
     examples are its descriptor row at video level, and at frame level a
-    sample of its frames, L2-normalized unless --no-l2-normalize."""
+    sample of its frames, L2-normalized."""
     partition, path = _read_input(args, "train", frame_level)
     vocab_dir = args.vocab_dir or args.data or args.descriptors
     x, y = partition.frames, _truths(partition, path, *_read_vocab(vocab_dir))
     if frame_level:
         x, video_index = trainer.expand_frame_examples(
             partition, args.frames_per_video, seed=args.seed)
-        y = y[video_index]
-        if args.l2_normalize:
-            x = preprocess.unit_rows(x)
+        x, y = preprocess.unit_rows(x), y[video_index]
     return models.add_bias(x), y, partition.meta.get("space")
 
 
@@ -308,18 +308,19 @@ def cmd_train(args):
         hinge_margin=args.hinge_margin,
     )
     results = trainer.train_all(x, y, cfg, workers=args.workers)
+    trained = [res for res in results.values() if not res.skipped]
+    if not trained and np.any(y.any(axis=0) & ~y.all(axis=0)):
+        raise trainer.TrainingError("every label with both classes diverged")
 
     # the trained labels' stacked models, ids and whole loss traces, the
     # skipped labels' reasons, and the training input's feature space
-    trained = [res for res in results.values() if not res.skipped]
     arrays = {"label_ids": np.array([res.label_id for res in trained],
                                     dtype=np.int64),
               "loss_traces": np.reshape([res.loss_trace for res in trained],
                                         (len(trained), cfg.iterations + 1))}
     meta = {"config_hash": _config_hash(args), "seed": args.seed,
             "level": args.level, "model": args.model,
-            "l2_normalize": args.l2_normalize, "feature_dim": x.shape[1] - 1,
-            "labels": y.shape[1], "space": space,
+            "feature_dim": x.shape[1] - 1, "labels": y.shape[1], "space": space,
             "skipped": [[res.label_id, res.reason]
                         for res in results.values() if res.skipped]}
     if trained:
@@ -336,7 +337,7 @@ def _load_bank(path):
     label) and its header meta, checked: the keys predict reads, and a
     model for each of its strictly increasing label ids in the vocabulary."""
     arrays, meta, _ = io.load(path, "bank")
-    for key in ("level", "l2_normalize", "feature_dim", "labels", "space"):
+    for key in ("level", "feature_dim", "labels", "space"):
         if key not in meta:
             raise data.DataFormatError("%s: the header has no %s" % (path, key))
     label_ids = arrays.get("label_ids", np.empty(0, dtype=np.int64))
@@ -371,10 +372,8 @@ def cmd_predict(args):
     elif not frame_level:
         scores = trainer.predict_video_level(bank, x, meta["labels"])
     else:
-        if meta["l2_normalize"]:
-            x = preprocess.unit_rows(x)
-        scores = trainer.predict_video_frame_level(bank, x, inputs.offsets,
-                                                   meta["labels"])
+        scores = trainer.predict_video_frame_level(
+            bank, preprocess.unit_rows(x), inputs.offsets, meta["labels"])
     pset = metrics.PredictionSet(
         video_ids=inputs.video_ids, scores=scores,
         truths=_truths(inputs, path, meta["labels"], bank_path))
@@ -385,10 +384,8 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     pset = metrics.read_predictions(args.predictions,
                                     _read_input(args, args.partition)[0])
-    ks = tuple(int(k) for k in args.hit_k.split(","))
-    pairs = [("config_hash", _config_hash(args)),
-             ("seed", args.seed)]
-    pairs += sorted(metrics.evaluate(pset, hit_ks=ks).items())
+    pairs = [("config_hash", _config_hash(args))]
+    pairs += sorted(metrics.evaluate(pset).items())
     _write_report(args.out, pairs)
     for key, value in pairs:
         print("%s=%s" % (key, value))
@@ -401,7 +398,7 @@ def cmd_oracle(args):
     fast_map, _, _ = metrics.mean_average_precision(pset)
     slow_map, _, _ = reference.brute_force_mean_ap(pset)
     rows = [("mAP", fast_map, slow_map)]
-    for k in (1, 5):
+    for k in metrics.HIT_KS:
         rows.append(("Hit@%d" % k, metrics.hit_at_k(pset, k),
                      reference.brute_force_hit_at_k(pset, k)))
     rows.append(("PERR", metrics.perr(pset), reference.brute_force_perr(pset)))
@@ -437,9 +434,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--dim-out", type=int, default=0)
     p.add_argument("--no-quantize", dest="quantize", action="store_false")
-    p.add_argument("--fit-partition", default="train", choices=PARTITIONS)
-    p.add_argument("--allow-fit-partition", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("encode", help="build video-level descriptors")
@@ -449,7 +443,6 @@ def build_parser():
     p.add_argument("--topk", type=int, default=aggregate.DEFAULT_TOP_K)
     p.add_argument("--mixtures", type=int, default=4)
     p.add_argument("--clusters", type=int, default=8)
-    p.add_argument("--codebook-sample", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_encode)
 
@@ -468,7 +461,6 @@ def build_parser():
     p.add_argument("--sample-cap", type=int, default=trainer.DEFAULT_SAMPLE_CAP)
     p.add_argument("--frames-per-video", type=int, default=20)
     p.add_argument("--hinge-margin", type=float, default=1.0)
-    p.add_argument("--no-l2-normalize", dest="l2_normalize", action="store_false")
     p.add_argument("--workers", type=int, default=1,
                    help="threads that train blocks of labels; the bank is "
                         "the same for every value")
@@ -488,9 +480,7 @@ def build_parser():
     p.add_argument("--data")
     p.add_argument("--descriptors")
     p.add_argument("--partition", default="test", choices=PARTITIONS)
-    p.add_argument("--hit-k", default="1,5")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("oracle", help="cross-check metrics against brute force")

@@ -15,6 +15,8 @@ import numpy as np
 from .data import label_matrix
 
 N_BUCKETS = 10_000
+# the k of every Hit@k that evaluate reports and oracle cross-checks
+HIT_KS = (1, 5)
 
 
 class MetricError(Exception):
@@ -126,12 +128,12 @@ def perr(predictions):
     return float(np.add.accumulate(within / sizes)[-1]) / len(ranked)
 
 
-def evaluate(predictions, hit_ks=(1, 5)):
-    """{name: value} of mAP, Hit@k for each k of hit_ks, PERR, and the
+def evaluate(predictions):
+    """{name: value} of mAP, Hit@k for each k of HIT_KS, PERR, and the
     number of classes (no positive video) and of videos (no ground truth)
     that they skip."""
     mean_ap, _, skipped = mean_average_precision(predictions)
-    report = {"Hit@%d" % k: hit_at_k(predictions, k) for k in hit_ks}
+    report = {"Hit@%d" % k: hit_at_k(predictions, k) for k in HIT_KS}
     report.update({"mAP": mean_ap, "PERR": perr(predictions),
                    "classes_skipped": skipped,
                    "videos_skipped": int(np.count_nonzero(

@@ -144,7 +144,7 @@ class HingeModel(_LabelStack):
 
     def __post_init__(self):
         self.weights = _stacked(self.weights, 2, "hinge weights")
-        if self.margin <= 0:
+        if not self.margin > 0:  # NaN included
             raise ValueError("hinge margin must be positive")
 
     @classmethod

@@ -53,6 +53,9 @@ class TrainerConfig:
     hinge_margin: float = 1.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "l2", "hinge_margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if min(self.learning_rate, self.batch_size, self.iterations,
                self.sample_cap) <= 0 or self.l2 < 0:
             raise ValueError("config values must be positive, and l2 >= 0")

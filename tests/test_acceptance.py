@@ -279,7 +279,7 @@ def _run_pipeline(root, seed=7, workers=1):
     assert cli.main(["gen-synthetic", "--out", paths["corpus"], "--seed", s,
                      "--labels", "8", "--videos", "2000", "--dim", "32"]) == 0
     assert cli.main(["preprocess", "--data", paths["corpus"],
-                     "--out", paths["prep"], "--seed", s]) == 0
+                     "--out", paths["prep"]]) == 0
     assert cli.main(["encode", "--data", paths["prep"], "--out", paths["desc"],
                      "--method", "stats", "--topk", "5", "--seed", s]) == 0
 
@@ -295,7 +295,7 @@ def _run_pipeline(root, seed=7, workers=1):
                      "--out", vp]) == 0
     assert cli.main(["evaluate", "--predictions", vp,
                      "--descriptors", paths["desc"], "--partition", "test",
-                     "--out", vr, "--seed", s]) == 0
+                     "--out", vr]) == 0
 
     assert cli.main(["train", "--data", paths["prep"],
                      "--vocab-dir", paths["corpus"], "--out", paths["fbank"],
@@ -308,7 +308,7 @@ def _run_pipeline(root, seed=7, workers=1):
                      "--data", paths["prep"], "--partition", "test",
                      "--out", fp]) == 0
     assert cli.main(["evaluate", "--predictions", fp, "--data", paths["prep"],
-                     "--partition", "test", "--out", fr, "--seed", s]) == 0
+                     "--partition", "test", "--out", fr]) == 0
     return paths, vr, fr
 
 

@@ -4,13 +4,15 @@ import importlib.util
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from vidbase import aggregate, cli, data, io, models, preprocess, trainer
+from vidbase import (aggregate, cli, data, encoders, io, models, preprocess,
+                     trainer)
 
 from helpers import label_lists, video_frames
 
@@ -87,13 +89,24 @@ def test_gen_synthetic_bytes_pinned(tmp_path):
                      "test": "477e04e7418b5c4b"}
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--separation", "--scale"])
+def test_gen_synthetic_refuses_a_non_finite_flag(tmp_path, capsys, flag,
+                                                 value):
+    out = tmp_path / "g"
+    capsys.readouterr()
+    assert run("gen-synthetic", "--out", str(out), "--videos", "10",
+               flag, value) == cli.EXIT_USAGE
+    assert "%s must be finite" % flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_refuses_leaky_fit(corpus, tmp_path):
+    # preprocess fits on train only: there is no flag to fit on another
     code = run("preprocess", "--data", str(corpus), "--out", str(tmp_path / "p"),
                "--fit-partition", "test")
     assert code == cli.EXIT_USAGE
-    code = run("preprocess", "--data", str(corpus), "--out", str(tmp_path / "p"),
-               "--fit-partition", "test", "--allow-fit-partition")
-    assert code == cli.EXIT_OK
+    assert not (tmp_path / "p").exists()
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +138,50 @@ def test_preprocess_output_independent_of_directory(corpus, tmp_path):
                      "train.features", "transform.pca", "validate.features"]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_preprocess_dim_out_feeds_the_whole_chain(corpus, tmp_path):
+    # the paper's PCA reduction: 8-d frames whitened to 4 dimensions; the
+    # stats encoder maps them back to the 8-d activation space, where the
+    # videos' means span 4 dimensions, so the normalizer whitens the
+    # (2 + 5) * 8 descriptor values onto 4 fewer directions
+    prep, desc, bank = tmp_path / "prep", tmp_path / "desc", tmp_path / "bank"
+    assert run("preprocess", "--data", str(corpus), "--out", str(prep),
+               "--dim-out", "4") == cli.EXIT_OK
+    for part in cli.PARTITIONS:
+        assert data.read_features(prep / ("%s.features" % part)).dim == 4
+    assert "dim_out=4\n" in (prep / "report.txt").read_text()
+    assert run("encode", "--data", str(prep), "--out", str(desc), "--method",
+               "stats", "--topk", "5") == cli.EXIT_OK
+    test = aggregate.read_descriptors(desc / "test.desc")
+    assert sum(n for _, _, n in test.meta["layout"]) == (2 + 5) * 8
+    assert test.dim == (2 + 5) * 8 - 4
+    assert run("train", "--descriptors", str(desc), "--vocab-dir",
+               str(corpus), "--out", str(bank), "--model", "logistic",
+               "--iterations", "2") == cli.EXIT_OK
+    preds = tmp_path / "preds.txt"
+    assert run("predict", "--bank", str(bank), "--descriptors", str(desc),
+               "--out", str(preds)) == cli.EXIT_OK
+    assert run("evaluate", "--predictions", str(preds), "--descriptors",
+               str(desc), "--out", str(tmp_path / "r.txt")) == cli.EXIT_OK
+
+
+def test_preprocess_exits_3_on_a_rank_deficient_fit(corpus, tmp_path,
+                                                    capsys):
+    # train frames with one constant column have rank 7 of 8: whitening
+    # all 8 dimensions is a numerical failure, and nothing is written
+    raw = _copy_dir(corpus, tmp_path / "raw")
+    arrays, meta, _ = io.load(raw / "train.features", "features")
+    arrays = {name: a.copy() for name, a in arrays.items()}
+    arrays["frames"][:, 3] = 1.5
+    io.save(raw / "train.features", "features", arrays, meta)
+    out = tmp_path / "prep"
+    capsys.readouterr()
+    assert run("preprocess", "--data", str(raw),
+               "--out", str(out)) == cli.EXIT_NUMERIC
+    assert ("numerical failure: requested d_out=8 but effective rank is 7"
+            in capsys.readouterr().err)
+    assert not list(out.glob("*.features"))
 
 
 @pytest.mark.parametrize("quantize", [True, False])
@@ -274,12 +331,27 @@ def short_prep(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("case", ["short-videos", "many-stacks", "raw"])
+@pytest.fixture(scope="module")
+def few_frames_prep(tmp_path_factory):
+    # 1 to 5 frames of dimension 8 per video: every frame count's videos
+    # of a partition fit in one stack
+    src = tmp_path_factory.mktemp("few_frames")
+    assert run("gen-synthetic", "--out", str(src), "--seed", "5",
+               "--labels", "3", "--videos", "120", "--dim", "8",
+               "--frames-min", "1", "--frames-max", "5") == cli.EXIT_OK
+    out = tmp_path_factory.mktemp("few_frames_prep")
+    assert run("preprocess", "--data", str(src), "--out", str(out)) \
+        == cli.EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("case", ["short-videos", "many-stacks", "raw",
+                                  "one-stack-per-count"])
 def test_encode_stats_bytes_equal_per_video_loop(case, request, tmp_path,
                                                  monkeypatch):
     data_dir = request.getfixturevalue(
         {"short-videos": "short_prep", "many-stacks": "preprocessed",
-         "raw": "corpus"}[case])
+         "raw": "corpus", "one-stack-per-count": "few_frames_prep"}[case])
     if case == "many-stacks":
         # 1 to 3 videos of 4 to 12 frames of dimension 8 per stack: every
         # frame count spans several stacks
@@ -304,6 +376,33 @@ def _perfbench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_documented_and_benchmarked_commands_parse():
+    # README's CLI block and every argv the benchmark builds: a removed or
+    # renamed flag fails here, not in the middle of a benchmark run
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("vidbase ")]
+    assert len(commands) == 8
+    bench = _perfbench_module("run")
+    for spec in bench.WORKLOADS.values():
+        corpus = bench.Corpus("work", 7)
+        steps, source = bench.chain(spec, corpus)
+        commands += [corpus.generate(spec)] + [argv for _, argv, _ in steps]
+        # the oracle of the benchmark's correctness gate
+        commands.append(["oracle", "--predictions", corpus.preds] + source
+                        + ["--partition", "test"])
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except cli.UsageError as exc:
+            pytest.fail("%s: %s" % (" ".join(argv), exc))
 
 
 def test_benchmark_traced_names_are_functions(preprocessed, tmp_path,
@@ -440,18 +539,45 @@ def test_encode_stats_dimension(corpus, tmp_path):
 def test_encode_fisher_dimension(corpus, tmp_path):
     out = tmp_path / "fv"
     code = run("encode", "--data", str(corpus), "--out", str(out),
-               "--method", "fisher", "--mixtures", "3",
-               "--codebook-sample", "2000")
+               "--method", "fisher", "--mixtures", "3")
     assert code == cli.EXIT_OK
     mat = aggregate.read_descriptors(str(out / "train.desc")).frames
     assert mat.shape[1] == 2 * 3 * 8
 
 
+def test_codebook_is_fit_on_a_sample_of_train_frames(corpus, tmp_path,
+                                                     monkeypatch):
+    # past CODEBOOK_SAMPLE train frames, the codebook is fit on that many
+    # distinct ones in partition order, the same ones on every run
+    train = data.read_features(corpus / "train.features").frames
+    row_of = {row.tobytes(): i for i, row in enumerate(train)}
+    assert len(row_of) == len(train) > 300
+    monkeypatch.setattr(cli, "CODEBOOK_SAMPLE", 300)
+    seen = []
+    for name in ("fit_kmeans", "fit_gmm"):
+        monkeypatch.setattr(encoders, name, lambda frames, *a, _f=getattr(
+            encoders, name), _n=name, **kw: seen.append((_n, frames))
+            or _f(frames, *a, **kw))
+    for method, fit, codebook in (("vlad", "fit_kmeans", "codebook.kms"),
+                                  ("fisher", "fit_gmm", "codebook.gmm")):
+        blobs = []
+        for out in (tmp_path / method / "a", tmp_path / method / "b"):
+            seen.clear()
+            assert run("encode", "--data", str(corpus), "--out", str(out),
+                       "--method", method, "--clusters", "4",
+                       "--mixtures", "2") == cli.EXIT_OK
+            name, sample = seen[0]  # fit_gmm's own k-means call comes after
+            rows = [row_of[row.tobytes()] for row in sample]
+            assert name == fit and rows == sorted(set(rows))
+            assert len(rows) == 300
+            blobs.append((out / codebook).read_bytes())
+        assert blobs[0] == blobs[1]
+
+
 def test_encode_vlad_dimension(corpus, tmp_path):
     out = tmp_path / "vl"
     code = run("encode", "--data", str(corpus), "--out", str(out),
-               "--method", "vlad", "--clusters", "4",
-               "--codebook-sample", "2000")
+               "--method", "vlad", "--clusters", "4")
     assert code == cli.EXIT_OK
     mat = aggregate.read_descriptors(str(out / "train.desc")).frames
     assert mat.shape[1] == 4 * 8
@@ -488,7 +614,7 @@ def test_train_writes_index_and_models(bank, encoded):
     assert arrays["loss_traces"].shape == (4, 6)
     assert len(meta["config_hash"]) == 16 and meta["seed"] == 2
     assert (meta["level"], meta["model"], meta["labels"]) == ("video", "moe", 4)
-    assert meta["l2_normalize"] is True and meta["skipped"] == []
+    assert meta["skipped"] == []
     desc = aggregate.read_descriptors(encoded / "train.desc")
     assert meta["feature_dim"] == desc.dim
     assert meta["space"] == desc.meta["space"]
@@ -585,6 +711,33 @@ def test_train_rejects_a_negative_l2(corpus, tmp_path, capsys):
                "--level", "frame", "--model", "logistic", "--l2", "-0.9",
                "--iterations", "1") == cli.EXIT_DATA
     assert "l2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,setting", [
+    ("--l2", "nan", "l2"), ("--lr", "nan", "learning_rate"),
+    ("--lr", "inf", "learning_rate"), ("--hinge-margin", "nan", "hinge_margin")])
+def test_train_refuses_a_non_finite_setting(corpus, tmp_path, capsys, flag,
+                                            value, setting):
+    out = tmp_path / "bank"
+    capsys.readouterr()
+    assert run("train", "--data", str(corpus), "--out", str(out),
+               "--level", "frame", "--model", "hinge", "--iterations", "1",
+               flag, value) == cli.EXIT_DATA
+    assert "%s must be finite" % setting in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_exits_3_when_every_label_diverges(corpus, tmp_path, capsys):
+    # a finite but huge learning rate overflows every label's loss at its
+    # first iteration: a bank of skipped labels would score every label 0
+    out = tmp_path / "bank"
+    capsys.readouterr()
+    assert run("train", "--data", str(corpus), "--out", str(out),
+               "--level", "frame", "--model", "logistic", "--iterations", "1",
+               "--lr", "1e300") == cli.EXIT_NUMERIC
+    assert "every label with both classes diverged" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -983,7 +1136,7 @@ def test_predict_rejects_bank_with_integer_kind(corpus, encoded, tmp_path,
     assert not (tmp_path / "p.txt").exists()
 
 
-@pytest.mark.parametrize("key", ["level", "l2_normalize", "feature_dim"])
+@pytest.mark.parametrize("key", ["level", "feature_dim"])
 def test_predict_rejects_index_without_key(encoded, bank, tmp_path, capsys,
                                            key):
     # predict reads these keys of the bank's header; without one it must

@@ -346,6 +346,12 @@ def test_hinge_invalid_margin():
         M.HingeModel(weights=np.zeros((1, 2)), margin=0.0)
 
 
+def test_hinge_rejects_a_nan_margin():
+    # `margin <= 0` is False for NaN
+    with pytest.raises(ValueError, match="margin"):
+        M.HingeModel(weights=np.zeros((1, 2)), margin=float("nan"))
+
+
 # ---------------------------------------------------------- serialization
 
 def random_models(rng):

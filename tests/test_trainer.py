@@ -187,6 +187,14 @@ def test_config_rejects_a_negative_l2():
     assert tr.TrainerConfig(l2=0.0).l2 == 0.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["learning_rate", "l2", "hinge_margin"])
+def test_config_rejects_a_non_finite_setting(name, value):
+    # NaN passes every comparison-based check, so it is refused by name
+    with pytest.raises(ValueError, match="%s must be finite" % name):
+        tr.TrainerConfig(**{name: value})
+
+
 @pytest.mark.parametrize("kind", ["logistic", "hinge", "moe"])
 def test_training_separable_problem(kind):
     x, y = toy_problem(seed=3)
