@@ -34,15 +34,9 @@ def aggregate_topk(frames, k):
     return np.swapaxes(top, -1, -2).reshape(*stack, k * dim)
 
 
-def descriptor_layout(dim, k):
-    """((name, offset, length), ...) of the [mean; std; topk] descriptor of
-    `dim`-dimensional frames."""
-    return (("mean", 0, dim), ("std", dim, dim), ("topk", 2 * dim, k * dim))
-
-
 def build_descriptor(frames, k=DEFAULT_TOP_K):
-    """Descriptor values in descriptor_layout order of a video's (F, D)
-    frames, or of each video of an (..., F, D) stack, bit for bit."""
+    """The [mean; std; topk] descriptor, D + D + k * D values, of a video's
+    (F, D) frames, or of each video of an (..., F, D) stack, bit for bit."""
     mean, std = aggregate_mean_std(frames)
     return np.concatenate([mean, std, aggregate_topk(frames, k)], axis=-1)
 
@@ -68,8 +62,8 @@ def encode_stats(frames, offsets, k, transform=None):
 
 def fit_global_normalizer(descriptors):
     """Whitening transform over descriptor space, fit on a (V, d) matrix
-    (center -> whiten; apply with apply_whitening(..., l2_normalize=True))
-    onto its rank, below d when reduced frames' means span fewer dims."""
+    (center -> whiten; apply with unit_rows(apply_whitening(...))) onto its
+    rank, below d when reduced frames' means span fewer dims."""
     sample = np.asarray(descriptors, dtype=np.float64)
     try:
         return preprocess.fit_whitening(sample, sample.shape[1])
@@ -77,23 +71,22 @@ def fit_global_normalizer(descriptors):
         return preprocess.fit_whitening(sample, exc.effective_rank)
 
 
-def write_descriptors(path, partition, matrix, layout, meta=None):
+def write_descriptors(path, partition, matrix, meta=None):
     """Write the (V, d) descriptor matrix of a partition's videos as the
-    float32 frames of one-row videos, with their ids and labels, the layout
-    and `meta`; returns its sha256. A matrix not of one finite row per
-    video is a data error naming the file, and no file is written."""
+    float32 frames of one-row videos, with their ids, labels and `meta`;
+    returns its sha256. A matrix not of one finite row per video is a data
+    error naming the file, and no file is written."""
     try:
         rows = replace(partition, frames=matrix,
                        offsets=np.arange(len(partition) + 1))
     except ValueError as exc:
         raise DataFormatError("%s: %s" % (path, exc)) from exc
-    return write_partition(path, "descriptors", rows,
-                           dict(meta or {}, layout=[list(e) for e in layout]))
+    return write_partition(path, "descriptors", rows, meta)
 
 
 def read_descriptors(path):
     """The partition of a descriptors container: video i is row i of
-    `frames`, and `meta` holds the layout and the header's other entries."""
+    `frames`, and `meta` holds the header's other entries."""
     partition = read_partition(path, "descriptors")
     if len(partition.frames) != len(partition):
         raise DataFormatError("%s: the matrix needs one row per video" % path)

@@ -127,6 +127,11 @@ def cmd_gen_synthetic(args):
     for flag in ("separation", "scale"):
         if not np.isfinite(getattr(args, flag)):
             raise UsageError("--%s must be finite" % flag)
+    if args.scale <= 0:
+        raise UsageError("--scale must be positive")
+    if args.frames_min < 1 or args.frames_max < args.frames_min:
+        raise UsageError("--frames-min must be >= 1 and --frames-max >= "
+                         "--frames-min")
     os.makedirs(args.out, exist_ok=True)
     corpus = data.generate_synthetic(args.seed, args.labels, args.videos,
                                      args.dim, separation=args.separation,
@@ -163,45 +168,37 @@ def cmd_preprocess(args):
     space = preprocess.save_transform(transform,
                                       os.path.join(args.out, "transform.pca"))
 
-    fit_z = preprocess.apply_whitening(transform, fit.frames,
-                                       l2_normalize=False)
-    quantizer = quantizer_sha = None
-    if args.quantize:
-        quantizer = preprocess.fit_quantizer(fit_z)
-        quantizer_sha = preprocess.save_quantizer(
-            quantizer, os.path.join(args.out, "quantizer.qnt"))
+    fit_z = preprocess.apply_whitening(transform, fit.frames)
+    quantizer = preprocess.fit_quantizer(fit_z)
+    quantizer_sha = preprocess.save_quantizer(
+        quantizer, os.path.join(args.out, "quantizer.qnt"))
 
     chash = _config_hash(args)
-    meta = {"config_hash": chash, "whitened": True,
-            "quantized": quantizer is not None, "space": space,
-            "quantizer": quantizer_sha}
+    meta = {"config_hash": chash, "whitened": True, "quantized": True,
+            "space": space, "quantizer": quantizer_sha}
     roundtrip_num = roundtrip_den = 0.0
     for part in PARTITIONS:
-        # whiten, and quantize when asked, the partition's frames in one pass
+        # whiten and quantize the partition's frames in one pass
         if part == "train":
             partition, z, fit, fit_z = fit, fit_z, None, None
         else:
             partition, _ = _read_input(args, part, True)
-            z = preprocess.apply_whitening(transform, partition.frames,
-                                           l2_normalize=False)
+            z = preprocess.apply_whitening(transform, partition.frames)
         video_ids, offsets = partition.video_ids, partition.offsets
         labels, label_offsets = partition.labels, partition.label_offsets
         del partition  # the input frames are not needed past whitening
-        if quantizer is not None:
-            z_q = preprocess.dequantize(quantizer,
-                                        preprocess.quantize(quantizer, z))
-            roundtrip_den += float(np.vdot(z, z))
-            z -= z_q  # the round-trip error, in place: no temporary of z's size
-            roundtrip_num += float(np.vdot(z, z))
-            z = z_q
+        z_q = preprocess.dequantize(quantizer, preprocess.quantize(quantizer, z))
+        roundtrip_den += float(np.vdot(z, z))
+        z -= z_q  # the round-trip error, in place: no temporary of z's size
+        roundtrip_num += float(np.vdot(z, z))
+        z = z_q
         data.write_features(
             data.Partition(video_ids, z.astype(np.float32), offsets, labels,
                            label_offsets),
             _partition_path(args.out, part), meta)
 
-    pairs = [("config_hash", chash), ("dim_out", d_out),
-             ("quantized", int(args.quantize))]
-    if quantizer is not None and roundtrip_den > 0:
+    pairs = [("config_hash", chash), ("dim_out", d_out), ("quantized", 1)]
+    if roundtrip_den > 0:
         pairs.append(("quantization_relative_rmse",
                       float(np.sqrt(roundtrip_num / roundtrip_den))))
     _write_report(os.path.join(args.out, "report.txt"), pairs)
@@ -209,6 +206,9 @@ def cmd_preprocess(args):
 
 
 def cmd_encode(args):
+    for flag in ("topk", "mixtures", "clusters"):
+        if getattr(args, flag) < 1:
+            raise UsageError("--%s must be >= 1" % flag)
     os.makedirs(args.out, exist_ok=True)
     partitions = {part: _read_input(args, part, True)[0]
                   for part in PARTITIONS}
@@ -225,8 +225,6 @@ def cmd_encode(args):
             path = os.path.join(args.data, "transform.pca")
             transform, digest = preprocess.load_transform(path)
             _check_space(train.meta, train_path, digest, path)
-        dim = train.dim if transform is None else transform.dim
-        layout = aggregate.descriptor_layout(dim, args.topk)
         encode = lambda p: aggregate.encode_stats(p.frames, p.offsets,
                                                   args.topk, transform)
         extras = {"reconstructed": int(transform is not None),
@@ -242,14 +240,12 @@ def cmd_encode(args):
             space = encoders.save_gmm(gmm,
                                       os.path.join(args.out, "codebook.gmm"))
             encode = lambda p: encoders.encode_fisher(p.frames, gmm, p.offsets)
-            layout = (("fisher", 0, 2 * args.mixtures * train.dim),)
             extras = {"mixtures": args.mixtures}
         else:
             km = encoders.fit_kmeans(sample, args.clusters, seed=args.seed)
             space = encoders.save_kmeans(km,
                                          os.path.join(args.out, "codebook.kms"))
             encode = lambda p: encoders.encode_vlad(p.frames, km, p.offsets)
-            layout = (("vlad", 0, args.clusters * train.dim),)
             extras = {"clusters": args.clusters}
 
     encoded = {part: encode(p) for part, p in partitions.items()}
@@ -257,18 +253,18 @@ def cmd_encode(args):
         normalizer = aggregate.fit_global_normalizer(encoded["train"])
         space = preprocess.save_transform(
             normalizer, os.path.join(args.out, "normalizer.pca"))
-        encoded = {part: preprocess.apply_whitening(normalizer, descs,
-                                                    l2_normalize=True)
+        encoded = {part: preprocess.unit_rows(
+                       preprocess.apply_whitening(normalizer, descs))
                    for part, descs in encoded.items()}
 
+    # only Fisher and VLAD draw random numbers, so only they record the seed
+    seed = {} if args.method == "stats" else {"seed": args.seed}
     chash = _config_hash(args)
-    meta = {"seed": args.seed, "config_hash": chash, "method": args.method,
-            "space": space}
+    meta = dict(seed, config_hash=chash, method=args.method, space=space)
     for part, mat in encoded.items():
         aggregate.write_descriptors(_partition_path(args.out, part, False),
-                                    partitions[part], mat, layout, meta)
-    pairs = [("config_hash", chash), ("seed", args.seed),
-             ("method", args.method),
+                                    partitions[part], mat, meta)
+    pairs = [("config_hash", chash), *seed.items(), ("method", args.method),
              ("descriptor_dim", encoded["train"].shape[1])]
     pairs += sorted(extras.items())
     _write_report(os.path.join(args.out, "report.txt"), pairs)
@@ -433,7 +429,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dim-out", type=int, default=0)
-    p.add_argument("--no-quantize", dest="quantize", action="store_false")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("encode", help="build video-level descriptors")

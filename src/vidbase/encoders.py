@@ -111,6 +111,8 @@ def fit_kmeans(frames, k, seed, max_iter=100):
     codebook carries the assignment under its final centers."""
     x = np.asarray(frames, dtype=np.float64)
     n = x.shape[0]
+    if k < 1:
+        raise ValueError("k-means needs at least one center")
     if n < k:
         raise ValueError("need at least k samples")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4B4D]))
@@ -157,6 +159,8 @@ def fit_gmm(frames, n_components, seed, max_iter=100, rel_tol=1e-6):
     per-frame average log-likelihood is recorded each iteration."""
     x = np.asarray(frames, dtype=np.float64)
     n, dim = x.shape
+    if n_components < 1:
+        raise ValueError("a GMM needs at least one component")
     if n < 10 * n_components:
         raise ValueError("need at least 10 samples per component")
 

@@ -105,12 +105,10 @@ def fit_whitening(frames, d_out, eps=EIG_EPS):
     return WhiteningTransform(mean=mean, matrix=matrix)
 
 
-def apply_whitening(transform, x, l2_normalize=True):
-    """z = A(x - mu) of a vector or an (N, D) matrix, scaled by unit_rows
-    when l2_normalize is set."""
+def apply_whitening(transform, x):
+    """z = A(x - mu) of a vector or an (N, D) matrix, in float64."""
     # centering casts to float64 on the fly: no float64 copy of x
-    z = np.subtract(x, transform.mean, dtype=np.float64) @ transform.matrix.T
-    return unit_rows(z) if l2_normalize else z
+    return np.subtract(x, transform.mean, dtype=np.float64) @ transform.matrix.T
 
 
 def unit_rows(z):

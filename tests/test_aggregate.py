@@ -67,24 +67,15 @@ def test_top1_is_max_and_nonincreasing():
     assert np.all(np.diff(out, axis=1) <= 0)
 
 
-def test_descriptor_layout():
-    rng = np.random.default_rng(3)
-    d = agg.build_descriptor(rng.standard_normal((10, 4)), k=5)
-    assert len(d) == 4 * (2 + 5)
-    assert agg.descriptor_layout(4, 5) == \
-        (("mean", 0, 4), ("std", 4, 4), ("topk", 8, 20))
-
-
 def test_descriptor_decomposition():
     rng = np.random.default_rng(4)
     frames = rng.standard_normal((20, 3))
     d = agg.build_descriptor(frames, k=2)
+    assert len(d) == 3 * (2 + 2)
     mean, std = agg.aggregate_mean_std(frames)
-    parts = {name: d[off:off + length]
-             for name, off, length in agg.descriptor_layout(3, 2)}
-    assert np.array_equal(parts["mean"], mean)
-    assert np.array_equal(parts["std"], std)
-    assert np.array_equal(parts["topk"], agg.aggregate_topk(frames, 2))
+    assert np.array_equal(d[0:3], mean)
+    assert np.array_equal(d[3:6], std)
+    assert np.array_equal(d[6:], agg.aggregate_topk(frames, 2))
 
 
 def test_frame_permutation_invariance():
@@ -127,28 +118,26 @@ def test_global_normalizer():
     sample = np.asarray([agg.build_descriptor(rng.standard_normal((10, 3)), k=2)
                          for _ in range(2000)])
     t = agg.fit_global_normalizer(sample)
-    from vidbase.preprocess import apply_whitening
-    z = apply_whitening(t, sample, l2_normalize=False)
+    from vidbase.preprocess import apply_whitening, unit_rows
+    z = apply_whitening(t, sample)
     cov = z.T @ z / len(z)
     assert np.max(np.abs(cov - np.eye(cov.shape[0]))) < 0.15
-    zn = apply_whitening(t, sample, l2_normalize=True)
+    zn = unit_rows(apply_whitening(t, sample))
     assert np.allclose(np.linalg.norm(zn, axis=1), 1.0, atol=1e-6)
 
 
 def test_descriptor_file_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((5, 6)).astype(np.float32).astype(np.float64)
-    layout = (("mean", 0, 3), ("std", 3, 3))
     labels = [{0}, {1, 3}, set(), {2}, {0, 1}]
     digest = agg.write_descriptors(tmp_path / "x.desc",
                                    labelled(["a", "b", "c", "d", "e"], labels),
-                                   mat, layout, {"seed": 3, "space": "s"})
-    # a partition of one-row videos, the layout in its meta
+                                   mat, {"seed": 3, "space": "s"})
+    # a partition of one-row videos, with its meta
     back = agg.read_descriptors(tmp_path / "x.desc")
     assert back.video_ids == ("a", "b", "c", "d", "e")
     assert label_lists(back) == [sorted(l) for l in labels]
-    assert back.meta == {"seed": 3, "space": "s",
-                         "layout": [list(e) for e in layout]}
+    assert back.meta == {"seed": 3, "space": "s"}
     assert back.frames.dtype == np.float32
     assert np.array_equal(back.frames, mat)
     assert back.offsets.tolist() == list(range(6))
@@ -159,7 +148,7 @@ def test_descriptor_file_rejects_truncation_and_trailing_bytes(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "x.desc"
     agg.write_descriptors(path, labelled(["a", "b", "c"], [{0}, {1}, {0}]),
-                          rng.standard_normal((3, 4)), (("mean", 0, 4),))
+                          rng.standard_normal((3, 4)))
     blob = path.read_bytes()
     # 9 bytes cuts the prefix, 30 the header, half the file cuts a row,
     # and one byte short cuts the last value
@@ -175,11 +164,11 @@ def test_descriptor_file_rejects_truncation_and_trailing_bytes(tmp_path):
 
 
 def test_descriptor_file_rejects_non_utf8_ids(tmp_path):
-    # a byte that is not UTF-8 in an id or in the layout fails the header's
+    # a byte that is not UTF-8 in an id or in the meta fails the header's
     # parse, naming the file
     path = tmp_path / "u.desc"
     agg.write_descriptors(path, labelled(["a", "b"], [{0}, {1}]),
-                          np.ones((2, 3)), (("mean", 0, 3),))
+                          np.ones((2, 3)), {"method": "mean"})
     blob = path.read_bytes()
     for needle in (b'"mean"', b'"b"'):
         at = blob.index(needle) + 1
@@ -210,6 +199,6 @@ def test_write_descriptors_refuses_a_non_finite_matrix(tmp_path):
     matrix[1, 0] = np.nan
     with pytest.raises(DataFormatError, match="finite") as err:
         agg.write_descriptors(path, labelled(["a", "b", "c"], [{0}, {1}, {0}]),
-                              matrix, (("mean", 0, 2),))
+                              matrix)
     assert str(path) in str(err.value)
     assert not path.exists()

@@ -101,11 +101,38 @@ def test_gen_synthetic_refuses_a_non_finite_flag(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--scale", "0"], "--scale must be positive"),
+    (["--scale", "-1"], "--scale must be positive"),
+    (["--frames-min", "5", "--frames-max", "3"], "--frames-max >= --frames-min"),
+    (["--frames-min", "0"], "--frames-min must be >= 1"),
+    (["--frames-min", "0", "--frames-max", "0"], "--frames-min must be >= 1")],
+    ids=["scale-0", "scale-negative", "frames-max-below-min", "frames-min-0",
+         "frames-both-0"])
+def test_gen_synthetic_refuses_a_bad_scale_or_frame_range(tmp_path, capsys,
+                                                          flags, named):
+    # checked before anything is drawn or made: a usage error naming the
+    # flag, and no --out directory
+    out = tmp_path / "g"
+    capsys.readouterr()
+    assert run("gen-synthetic", "--out", str(out), "--videos", "10",
+               *flags) == cli.EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_refuses_leaky_fit(corpus, tmp_path):
     # preprocess fits on train only: there is no flag to fit on another
     code = run("preprocess", "--data", str(corpus), "--out", str(tmp_path / "p"),
                "--fit-partition", "test")
     assert code == cli.EXIT_USAGE
+    assert not (tmp_path / "p").exists()
+
+
+def test_preprocess_always_quantizes(corpus, tmp_path):
+    # preprocess has one path, which quantizes: --no-quantize is no option
+    assert run("preprocess", "--data", str(corpus), "--out", str(tmp_path / "p"),
+               "--no-quantize") == cli.EXIT_USAGE
     assert not (tmp_path / "p").exists()
 
 
@@ -154,7 +181,6 @@ def test_preprocess_dim_out_feeds_the_whole_chain(corpus, tmp_path):
     assert run("encode", "--data", str(prep), "--out", str(desc), "--method",
                "stats", "--topk", "5") == cli.EXIT_OK
     test = aggregate.read_descriptors(desc / "test.desc")
-    assert sum(n for _, _, n in test.meta["layout"]) == (2 + 5) * 8
     assert test.dim == (2 + 5) * 8 - 4
     assert run("train", "--descriptors", str(desc), "--vocab-dir",
                str(corpus), "--out", str(bank), "--model", "logistic",
@@ -184,8 +210,7 @@ def test_preprocess_exits_3_on_a_rank_deficient_fit(corpus, tmp_path,
     assert not list(out.glob("*.features"))
 
 
-@pytest.mark.parametrize("quantize", [True, False])
-def test_preprocess_matches_per_video_reference(tmp_path, quantize):
+def test_preprocess_matches_per_video_reference(tmp_path):
     # single-frame videos included: whitening and quantizing a partition's
     # concatenated frames must give each video the bytes it gets alone
     src = tmp_path / "corpus"
@@ -193,13 +218,12 @@ def test_preprocess_matches_per_video_reference(tmp_path, quantize):
                "--labels", "3", "--videos", "60", "--dim", "6",
                "--frames-min", "1", "--frames-max", "9") == cli.EXIT_OK
     out = tmp_path / "prep"
-    argv = ["preprocess", "--data", str(src), "--out", str(out)]
-    assert run(*(argv + ([] if quantize else ["--no-quantize"]))) == cli.EXIT_OK
+    assert run("preprocess", "--data", str(src),
+               "--out", str(out)) == cli.EXIT_OK
 
     fit_frames = data.read_features(str(src / "train.features")).frames
     t = preprocess.fit_whitening(fit_frames, fit_frames.shape[1])
-    q = preprocess.fit_quantizer(preprocess.apply_whitening(
-        t, fit_frames, l2_normalize=False)) if quantize else None
+    q = preprocess.fit_quantizer(preprocess.apply_whitening(t, fit_frames))
     err2 = norm2 = 0.0
     for part in cli.PARTITIONS:
         got = data.read_features(str(out / ("%s.features" % part)))
@@ -209,20 +233,15 @@ def test_preprocess_matches_per_video_reference(tmp_path, quantize):
         assert np.array_equal(got.label_offsets, want.label_offsets)
         assert np.array_equal(got.offsets, want.offsets)
         for g, w in zip(video_frames(got), video_frames(want)):
-            z = preprocess.apply_whitening(t, w, l2_normalize=False)
-            if q is not None:
-                z_q = preprocess.dequantize(q, preprocess.quantize(q, z))
-                err2 += float(np.sum((z_q - z) ** 2))
-                norm2 += float(np.sum(z ** 2))
-                z = z_q
-            assert g.tobytes() == z.astype(np.float32).tobytes()
+            z = preprocess.apply_whitening(t, w)
+            z_q = preprocess.dequantize(q, preprocess.quantize(q, z))
+            err2 += float(np.sum((z_q - z) ** 2))
+            norm2 += float(np.sum(z ** 2))
+            assert g.tobytes() == z_q.astype(np.float32).tobytes()
     report = dict(line.split("=", 1)
                   for line in (out / "report.txt").read_text().splitlines())
-    if quantize:
-        assert abs(float(report["quantization_relative_rmse"])
-                   - np.sqrt(err2 / norm2)) <= 1e-9
-    else:
-        assert "quantization_relative_rmse" not in report
+    assert abs(float(report["quantization_relative_rmse"])
+               - np.sqrt(err2 / norm2)) <= 1e-9
 
 
 def test_preprocess_empty_partition(tmp_path):
@@ -532,8 +551,6 @@ def test_encode_stats_dimension(corpus, tmp_path):
     desc = aggregate.read_descriptors(str(out / "train.desc"))
     # mean (D) + std (D) + top5 (5D) = 7D
     assert desc.dim == 7 * 8
-    names = [name for name, _, _ in desc.meta["layout"]]
-    assert names == ["mean", "std", "topk"]
 
 
 def test_encode_fisher_dimension(corpus, tmp_path):
@@ -582,6 +599,37 @@ def test_encode_vlad_dimension(corpus, tmp_path):
     mat = aggregate.read_descriptors(str(out / "train.desc")).frames
     assert mat.shape[1] == 4 * 8
     assert np.allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("method,flag,value", [
+    ("stats", "--topk", "0"), ("stats", "--topk", "-2"),
+    ("fisher", "--mixtures", "0"), ("fisher", "--mixtures", "-1"),
+    ("vlad", "--clusters", "0")])
+def test_encode_refuses_a_size_below_one(corpus, tmp_path, capsys, method,
+                                         flag, value):
+    out = tmp_path / "enc"
+    capsys.readouterr()
+    assert run("encode", "--data", str(corpus), "--out", str(out),
+               "--method", method, flag, value) == cli.EXIT_USAGE
+    assert "%s must be >= 1" % flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_encode_records_a_seed_only_where_one_is_drawn(corpus, tmp_path):
+    # stats encoding draws no random number: its headers and report hold
+    # no seed; Fisher's and VLAD's hold --seed. No header holds a layout
+    for method in ("stats", "fisher", "vlad"):
+        out = tmp_path / method
+        assert run("encode", "--data", str(corpus), "--out", str(out),
+                   "--method", method, "--seed", "5") == cli.EXIT_OK
+        seed = {} if method == "stats" else {"seed": 5}
+        for part in cli.PARTITIONS:
+            meta = io.load(out / ("%s.desc" % part), "descriptors").meta
+            assert "layout" not in meta
+            assert {k: v for k, v in meta.items() if k == "seed"} == seed
+        report = (out / "report.txt").read_text().splitlines()
+        assert [line for line in report if line.startswith("seed=")] == \
+            ["seed=%d" % v for v in seed.values()]
 
 
 @pytest.fixture(scope="module")

@@ -167,6 +167,14 @@ def test_codebook_file_roundtrips(tmp_path):
     assert back_km.sse_trace.tolist() == km.sse_trace
 
 
+def test_codebooks_need_at_least_one_center():
+    x = np.random.default_rng(0).standard_normal((50, 2))
+    with pytest.raises(ValueError, match="at least one center"):
+        enc.fit_kmeans(x, 0, seed=0)
+    with pytest.raises(ValueError, match="at least one component"):
+        enc.fit_gmm(x, 0, seed=0)
+
+
 def test_gmm_requires_enough_samples():
     with pytest.raises(ValueError, match="10 samples"):
         enc.fit_gmm(np.zeros((5, 2)), 1, seed=0)

@@ -32,8 +32,7 @@ def artifacts(tmp_path_factory):
     part = _partition()
     data.write_features(part, out / "f.features", {"seed": 1})
     aggregate.write_descriptors(out / "d.desc", part,
-                                rng.standard_normal((2, 4)),
-                                (("mean", 0, 4),))
+                                rng.standard_normal((2, 4)))
     preprocess.save_transform(preprocess.fit_whitening(x, 3), out / "t.pca")
     preprocess.save_quantizer(preprocess.fit_quantizer(x), out / "q.qnt")
     encoders.save_gmm(encoders.fit_gmm(x, 2, seed=1), out / "c.gmm")
@@ -211,22 +210,64 @@ def test_only_io_decides_a_binary_format():
     assert _binary_io(ast.parse("from struct import pack\nopen(p, mode=m)"))
 
 
-def _readme_artifact_arrays():
-    """kind -> the arrays cell of its row in the README's Artifacts table."""
+def _readme_artifact_cells(column):
+    """kind -> the cell of `column` (2: arrays, 3: header meta) of its row
+    in the README's Artifacts table."""
     readme = os.path.join(os.path.dirname(os.path.dirname(SRC)),
                           "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read().split("## Artifacts", 1)[1].split("\n## ", 1)[0]
     rows = [line.split("|")[1:-1] for line in text.splitlines()
             if line.startswith("| `")]
-    return {cells[1].strip(): cells[2] for cells in rows}
+    return {cells[1].strip(): cells[column] for cells in rows}
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_readme_names_every_array_written(artifacts, kind):
     # each array a kind's writer puts in its file is named in that kind's
     # row of the README's Artifacts table
-    cell = _readme_artifact_arrays()[kind]
+    cell = _readme_artifact_cells(2)[kind]
     path, _ = artifacts[kind]
     for name in io.load(path, kind).arrays:
         assert re.search(r"\b%s\b" % name, cell), (kind, name, cell)
+
+
+KIND_OF_SUFFIX = {".features": "features", ".desc": "descriptors",
+                  ".pca": "transform", ".qnt": "quantizer", ".gmm": "gmm",
+                  ".kms": "kmeans", ".bin": "bank"}
+
+
+@pytest.fixture(scope="module")
+def chain_files(tmp_path_factory):
+    """kind -> the containers of that kind that a stats, a Fisher and a
+    VLAD chain write, from gen-synthetic to train."""
+    root = tmp_path_factory.mktemp("chains")
+    corpus, prep = root / "corpus", root / "prep"
+    steps = [["gen-synthetic", "--out", corpus, "--labels", "3",
+              "--videos", "60", "--dim", "4"],
+             ["preprocess", "--data", corpus, "--out", prep]]
+    for method in ("stats", "fisher", "vlad"):
+        steps += [["encode", "--data", prep, "--out", root / method,
+                   "--method", method, "--mixtures", "2", "--clusters", "2"],
+                  ["train", "--descriptors", root / method, "--vocab-dir",
+                   corpus, "--out", root / method / "bank",
+                   "--iterations", "1"]]
+    for argv in steps:
+        assert cli.main([str(a) for a in argv]) == cli.EXIT_OK
+    found = {}
+    for path in sorted(root.rglob("*")):
+        if path.suffix in KIND_OF_SUFFIX:
+            found.setdefault(KIND_OF_SUFFIX[path.suffix], []).append(path)
+    return found
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_readme_names_every_header_key_written(chain_files, kind):
+    # the header `meta` keys that the files of a kind hold, taken over
+    # every file of that kind the chains write, are the keys spelled in
+    # backticks in that kind's row of the README's Artifacts table
+    cell = _readme_artifact_cells(3)[kind]
+    written = set()
+    for path in chain_files[kind]:
+        written.update(io.load(path, kind).meta)
+    assert written == set(re.findall(r"`(\w+)`", cell)), (kind, cell)

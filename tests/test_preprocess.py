@@ -11,7 +11,7 @@ def test_whitening_identity_covariance():
     sample = rng.standard_normal((10_000, 6))
     sample -= sample.mean(axis=0)
     t = pp.fit_whitening(sample, d_out=6)
-    z = pp.apply_whitening(t, sample, l2_normalize=False)
+    z = pp.apply_whitening(t, sample)
     cov = z.T @ z / len(z)
     assert np.max(np.abs(cov - np.eye(6))) <= 5e-2
     assert np.max(np.abs(z.mean(axis=0))) <= 1e-10
@@ -23,7 +23,7 @@ def test_whitening_decorrelates():
     b = 0.9 * a + np.sqrt(1 - 0.9**2) * rng.standard_normal(10_000)
     sample = np.stack([a, b], axis=1)
     t = pp.fit_whitening(sample, d_out=2)
-    z = pp.apply_whitening(t, sample, l2_normalize=False)
+    z = pp.apply_whitening(t, sample)
     corr = np.corrcoef(z.T)[0, 1]
     assert abs(corr) < 0.05
 
@@ -39,7 +39,7 @@ def test_eigen_order_decreasing_variance():
     rng = np.random.default_rng(2)
     sample = rng.standard_normal((5000, 3)) * np.array([5.0, 1.0, 0.2])
     t = pp.fit_whitening(sample, d_out=3)
-    z = pp.apply_whitening(t, sample, l2_normalize=False)
+    z = pp.apply_whitening(t, sample)
     # each output direction carries unit variance after whitening, so check
     # the matrix rows correspond to decreasing input variance instead
     row_scales = np.linalg.norm(t.matrix, axis=1)
@@ -49,13 +49,12 @@ def test_eigen_order_decreasing_variance():
 
 def test_apply_whitening_centering():
     t = pp.WhiteningTransform(mean=np.array([1.0, 2.0]), matrix=np.eye(2))
-    assert np.allclose(pp.apply_whitening(t, np.array([1.0, 2.0]),
-                                          l2_normalize=False), 0.0)
+    assert np.allclose(pp.apply_whitening(t, np.array([1.0, 2.0])), 0.0)
 
 
 def test_apply_whitening_345():
     t = pp.WhiteningTransform(mean=np.zeros(2), matrix=np.eye(2))
-    z = pp.apply_whitening(t, np.array([3.0, 4.0]), l2_normalize=True)
+    z = pp.unit_rows(pp.apply_whitening(t, np.array([3.0, 4.0])))
     assert np.allclose(z, [0.6, 0.8])
 
 
@@ -63,14 +62,14 @@ def test_unit_norm_property():
     rng = np.random.default_rng(3)
     t = pp.fit_whitening(rng.standard_normal((500, 5)), d_out=4)
     x = rng.standard_normal((100, 5))
-    z = pp.apply_whitening(t, x, l2_normalize=True)
+    z = pp.unit_rows(pp.apply_whitening(t, x))
     assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-6)
 
 
 def test_zero_projection_flagged():
     t = pp.WhiteningTransform(mean=np.array([1.0, 1.0]), matrix=np.eye(2))
     with pytest.warns(UserWarning, match="zero vector"):
-        z = pp.apply_whitening(t, np.array([1.0, 1.0]), l2_normalize=True)
+        z = pp.unit_rows(pp.apply_whitening(t, np.array([1.0, 1.0])))
     assert np.all(z == 0.0)
 
 
@@ -131,8 +130,7 @@ def test_reconstruct_orthonormal_inverse():
     z = rng.standard_normal(3)
     x = pp.invert_whitening(t, z)
     assert np.allclose(x, basis.T @ z, atol=1e-6)
-    assert np.allclose(pp.apply_whitening(t, x, l2_normalize=False), z,
-                       atol=1e-10)
+    assert np.allclose(pp.apply_whitening(t, x), z, atol=1e-10)
 
 
 def test_reconstruct_recovers_mean():
@@ -141,7 +139,7 @@ def test_reconstruct_recovers_mean():
     sample = rng.standard_normal((5000, 3)) + mu
     t = pp.fit_whitening(sample, d_out=3)
     # the transform's own center whitens to zero and reconstructs back
-    z = pp.apply_whitening(t, t.mean, l2_normalize=False)
+    z = pp.apply_whitening(t, t.mean)
     assert np.allclose(z, 0.0, atol=1e-9)
     assert np.allclose(pp.invert_whitening(t, z), t.mean, atol=1e-9)
     assert np.allclose(t.mean, mu, atol=0.1)
@@ -151,13 +149,13 @@ def test_whiten_quantize_reconstruct_roundtrip():
     rng = np.random.default_rng(11)
     sample = rng.standard_normal((20_000, 8)) * rng.random(8) + rng.random(8)
     t = pp.fit_whitening(sample, d_out=8)
-    z = pp.apply_whitening(t, sample, l2_normalize=False)
+    z = pp.apply_whitening(t, sample)
     q = pp.fit_quantizer(z)
     codes = pp.quantize(q, z)
     x_hat = pp.invert_whitening(t, pp.dequantize(q, codes))
     rel = np.linalg.norm(x_hat - sample) / np.linalg.norm(sample)
     assert rel < 0.05
-    z_again = pp.apply_whitening(t, x_hat, l2_normalize=False)
+    z_again = pp.apply_whitening(t, x_hat)
     assert np.linalg.norm(z_again - z) / np.linalg.norm(z) < 0.05
 
 
