@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-from . import aggregate, data, encoders, io, metrics, models, preprocess
-from . import reference, trainer
+from . import aggregate, data, io, metrics, models, preprocess, trainer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,9 +159,12 @@ def cmd_gen_synthetic(args):
 
 
 def cmd_preprocess(args):
-    os.makedirs(args.out, exist_ok=True)
     fit, _ = _read_input(args, "train", True)
+    if not 0 <= args.dim_out <= fit.dim:
+        raise UsageError("--dim-out must be in [1, %d], the frames' "
+                         "dimension (0 keeps it)" % fit.dim)
     d_out = args.dim_out or fit.dim
+    os.makedirs(args.out, exist_ok=True)
 
     transform = preprocess.fit_whitening(fit.frames, d_out)
     space = preprocess.save_transform(transform,
@@ -206,6 +208,8 @@ def cmd_preprocess(args):
 
 
 def cmd_encode(args):
+    from . import encoders   # only encode fits and applies a codebook
+
     for flag in ("topk", "mixtures", "clusters"):
         if getattr(args, flag) < 1:
             raise UsageError("--%s must be >= 1" % flag)
@@ -287,6 +291,13 @@ def _training_data(args, frame_level):
 
 
 def cmd_train(args):
+    for flag in ("lr", "iterations", "sample_cap", "mixtures"):
+        if getattr(args, flag) <= 0:
+            raise UsageError("--%s must be positive"
+                             % flag.replace("_", "-"))
+    if args.batch_size < 0:
+        raise UsageError("--batch-size must be positive, or 0 for the "
+                         "level's default")
     if min(args.workers, args.frames_per_video) < 1:
         raise ValueError("--workers and --frames-per-video must be >= 1")
     frame_level = args.level == "frame"
@@ -389,6 +400,8 @@ def cmd_evaluate(args):
 
 
 def cmd_oracle(args):
+    from . import reference  # only oracle runs the brute-force metrics
+
     pset = metrics.read_predictions(args.predictions,
                                     _read_input(args, args.partition)[0])
     fast_map, _, _ = metrics.mean_average_precision(pset)

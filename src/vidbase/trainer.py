@@ -5,8 +5,7 @@ frame-level label assignment, and inference on a whole partition with one
 stacked predict, average-pooled over each video's frames at frame level."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +18,8 @@ BLOCK_ELEMENTS = 1 << 20
 # a lockstep pass gathers the rows of as many steps at once as hold at most
 # this many float64 feature values (256 KiB, so that they stay in cache)
 SPAN_ELEMENTS = 1 << 15
+# loss traces score at most this many float64 values at once: lanes * n
+LOSS_ELEMENTS = 1 << 18
 # Adagrad divides by sqrt(accumulated squared gradients + this)
 ADAGRAD_EPSILON = 1e-6
 
@@ -56,9 +57,12 @@ class TrainerConfig:
         for name in ("learning_rate", "l2", "hinge_margin"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % name)
-        if min(self.learning_rate, self.batch_size, self.iterations,
-               self.sample_cap) <= 0 or self.l2 < 0:
-            raise ValueError("config values must be positive, and l2 >= 0")
+        for name in ("learning_rate", "batch_size", "iterations",
+                     "sample_cap", "n_experts"):
+            if getattr(self, name) <= 0:
+                raise ValueError("%s must be positive" % name)
+        if self.l2 < 0:
+            raise ValueError("l2 must be >= 0")
         if self.model_kind not in M.KINDS:
             raise ValueError("unknown model kind %r" % self.model_kind)
 
@@ -174,7 +178,7 @@ class _BlockSample:
     order[k, :sizes[k]] in that order, whose targets (positive or not) are
     targets[k, :sizes[k]]; both are padded (with row 0) up to the longest
     sample. w_plus and w_minus are (Lb, 1) columns of the plans' weights
-    of positive and negative rows."""
+    of positive and negative rows; `losses` scores every label on them."""
     order: np.ndarray
     targets: np.ndarray
     sizes: np.ndarray
@@ -196,19 +200,28 @@ class _BlockSample:
                    np.array([[w] for _, w, _ in samples]),
                    np.array([[w] for _, _, w in samples]))
 
-    def loss(self, model, x, y, lane):
-        """Label `lane`'s loss on its whole sample, summed over its rows in
-        partition order; `y` is the label's bool target column. A sample of
-        every row (no cap binds) is scored on x itself, without a copy."""
-        size = self.sizes[lane]
-        if size == len(x):
-            xs, ys = x, y
-        else:
-            rows = np.sort(self.order[lane, :size])
-            xs, ys = x[rows], y[rows]
-        wts = np.where(ys, self.w_plus[lane], self.w_minus[lane])
-        return float(model.label(lane).loss(xs[None], ys[None],
-                                            wts[None])[0])
+    def losses(self, model, x, y, label_ids):
+        """(Lb,) trace entries: lane k's `loss` over every row of x in
+        partition order, a row weighing w+ or w- in the sample and 0
+        outside it (so a non-finite score outside it still makes the entry
+        non-finite), with targets y[:, label_ids[k]]. Chunks of
+        LOSS_ELEMENTS // n lanes are scored at once, as views of `model`."""
+        n, step = len(x), max(1, LOSS_ELEMENTS // len(x))
+        losses = []
+        for lo in range(0, len(self.sizes), step):
+            part = slice(lo, lo + step)
+            wts = np.where(self.targets[part], self.w_plus[part],
+                           self.w_minus[part])
+            wts[np.arange(wts.shape[1]) >= self.sizes[part, None]] = 0.0
+            # lane k's sample holds a row once, so cell (k, row) sums its
+            # weight alone; the padding adds 0 to row 0
+            cells = self.order[part] + n * np.arange(len(wts))[:, None]
+            wts = np.bincount(cells.ravel(), wts.ravel(), len(wts) * n)
+            chunk = replace(model, **{name: getattr(model, name)[part]
+                                      for name in model.ARRAYS})
+            losses.append(chunk.loss(x, y[:, label_ids[part]].T,
+                                     wts.reshape(-1, n)))
+        return np.concatenate(losses)
 
 
 def _lockstep_pass(model, state, x, sample, cfg):
@@ -269,16 +282,19 @@ def train_label(model, x, y, cfg, label_ids):
     call only.
 
     Returns the model and one loss trace per label: the initial loss plus
-    one entry per iteration. A trace is not extended past a non-finite
-    entry: that label diverged at that iteration."""
+    one entry per iteration, each over every row of x with weight 0 off
+    the label's sample (see _BlockSample.losses), the same bits in any
+    block. A trace is not extended past a non-finite entry: that label
+    diverged at that iteration."""
     x = np.asarray(x, dtype=np.float64)
     traces = [[] for _ in label_ids]
     state = [(param, np.zeros_like(param)) for param in model.params]
 
     def record_losses(sample):
-        for lane, (label_id, trace) in enumerate(zip(label_ids, traces)):
+        losses = sample.losses(model, x, y, label_ids).tolist()
+        for trace, loss in zip(traces, losses):
             if np.all(np.isfinite(trace[1:])):
-                trace.append(sample.loss(model, x, y[:, label_id], lane))
+                trace.append(loss)
 
     for it in range(cfg.iterations):
         sample = _BlockSample.draw(label_ids, y, cfg, it)
@@ -322,6 +338,7 @@ def train_all(x, y_matrix, cfg, workers=1):
 
     threads = min(workers, len(blocks))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(threads) as pool:
             trained = list(pool.map(train_block, blocks))
     else:

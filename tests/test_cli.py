@@ -192,6 +192,18 @@ def test_preprocess_dim_out_feeds_the_whole_chain(corpus, tmp_path):
                str(desc), "--out", str(tmp_path / "r.txt")) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("value", ["-1", "9"])
+def test_preprocess_refuses_a_dim_out_outside_the_frames(corpus, tmp_path,
+                                                         capsys, value):
+    # the corpus has 8-d frames; 0, the default, keeps all 8
+    out = tmp_path / "prep"
+    capsys.readouterr()
+    assert run("preprocess", "--data", str(corpus), "--out", str(out),
+               "--dim-out", value) == cli.EXIT_USAGE
+    assert "--dim-out must be in [1, 8]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_exits_3_on_a_rank_deficient_fit(corpus, tmp_path,
                                                     capsys):
     # train frames with one constant column have rank 7 of 8: whitening
@@ -759,6 +771,22 @@ def test_train_rejects_a_negative_l2(corpus, tmp_path, capsys):
                "--level", "frame", "--model", "logistic", "--l2", "-0.9",
                "--iterations", "1") == cli.EXIT_DATA
     assert "l2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--iterations", "0"), ("--batch-size", "-1"), ("--sample-cap", "0"),
+    ("--lr", "0"), ("--lr", "-0.5"), ("--mixtures", "0")])
+def test_train_refuses_a_setting_below_its_bound(tmp_path, capsys, flag,
+                                                 value):
+    # a usage error naming the flag, before any input is read: --data
+    # names no directory, which would be a data error
+    out = tmp_path / "bank"
+    capsys.readouterr()
+    assert run("train", "--data", str(tmp_path / "missing"), "--out",
+               str(out), "--level", "frame", "--model", "moe", flag,
+               value) == cli.EXIT_USAGE
+    assert "usage error: %s must be positive" % flag in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -196,8 +196,8 @@ def random_stack(kind, rng, n_labels, dim, l2=1e-2):
 @pytest.mark.parametrize("kind", ["logistic", "hinge", "moe"])
 def test_stacked_model_equals_its_labels(kind):
     """Loss and gradient of a stack of labels are the labels' own, bit for
-    bit, with each label's reg_scale; predict on a shared matrix gives one
-    column per label."""
+    bit, with each label's reg_scale, and so are the loss and predict on a
+    matrix shared by the labels, which gives one column per label."""
     rng = np.random.default_rng(14)
     dim, n_labels = 6, 4
     m = random_stack(kind, rng, n_labels, dim)
@@ -207,8 +207,9 @@ def test_stacked_model_equals_its_labels(kind):
         reg_scale = rng.random(n_labels)
         loss, grads = m.loss(x, y, w), m.gradient(x, y, w, reg_scale)
         shared = M.add_bias(rng.standard_normal((n, dim)))
-        scores = M.predict(m, shared)
-        assert loss.shape == (n_labels,) and scores.shape == (n, n_labels)
+        shared_loss, scores = m.loss(shared, y, w), M.predict(m, shared)
+        assert loss.shape == shared_loss.shape == (n_labels,)
+        assert scores.shape == (n, n_labels)
         for k in range(n_labels):
             one_label = m.label(k)
             assert one_label.n_labels == 1
@@ -219,9 +220,10 @@ def test_stacked_model_equals_its_labels(kind):
                     grads, one_label.gradient(x[sl], y[sl], w[sl],
                                               reg_scale[sl])):
                 assert np.array_equal(got[sl], want)
-            np.testing.assert_allclose(scores[:, k],
-                                       M.predict(one_label, shared)[:, 0],
-                                       rtol=0.0, atol=1e-12)
+            assert np.array_equal(
+                one_label.loss(shared, y[sl], w[sl]), shared_loss[sl])
+            assert np.array_equal(scores[:, k],
+                                  M.predict(one_label, shared)[:, 0])
 
 
 @pytest.mark.parametrize("kind", ["logistic", "hinge", "moe"])

@@ -187,6 +187,13 @@ def test_config_rejects_a_negative_l2():
     assert tr.TrainerConfig(l2=0.0).l2 == 0.0
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "batch_size",
+                                  "iterations", "sample_cap", "n_experts"])
+def test_config_names_a_setting_below_its_bound(name):
+    with pytest.raises(ValueError, match="^%s must be positive$" % name):
+        tr.TrainerConfig(**{name: 0})
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["learning_rate", "l2", "hinge_margin"])
 def test_config_rejects_a_non_finite_setting(name, value):
@@ -320,9 +327,10 @@ def test_train_all_deterministic_rerun(kind):
 def _train_label_reference(model, x, y, cfg, label_id, trace_order=False):
     """Test-only reference: one label trained on its own, one mini-batch
     after another, as the trainer did before labels ran in lockstep. Each
-    loss-trace entry sums over the label's sample in partition order, or,
-    with `trace_order`, in training order as the trainer did before.
-    Stops after the first non-finite loss, which ends the trace."""
+    loss-trace entry sums over every row of x in partition order, with
+    weight 0 on the rows outside the label's sample, or, with
+    `trace_order`, over the sample in training order as the trainer did
+    before. Stops after the first non-finite loss, which ends the trace."""
     trace = []
     state = [(param, np.zeros_like(param)) for param in model.params]
     for it in range(cfg.iterations):
@@ -335,9 +343,12 @@ def _train_label_reference(model, x, y, cfg, label_id, trace_order=False):
         rng = np.random.default_rng(np.random.SeedSequence(
             [cfg.seed & 0xFFFFFFFF, int(label_id), it, 0x5F]))
         order = rng.permutation(len(idx))
-        traced = order if trace_order else np.argsort(idx)
-        xt, yt, wt = (x[idx[traced]][None], y[idx[traced]][None],
-                      wts[traced][None])
+        if trace_order:
+            xt, yt, wt = (x[idx[order]][None], y[idx[order]][None],
+                          wts[order][None])
+        else:
+            xt, yt, wt = x, y[None], np.zeros((1, len(x)))
+            wt[0, idx] = wts
         idx, wts = idx[order], wts[order]
         xs, ys, wts = x[idx][None], y[idx][None], wts[None]
 
@@ -448,8 +459,9 @@ def test_lockstep_blocks_match_reference(kind, monkeypatch):
 @pytest.mark.parametrize("case", ["logistic-b32", "hinge-cap-b32",
                                   "moe-b1", "moe-cap-b7"])
 def test_partition_order_trace_matches_training_order(case):
-    """Each loss-trace entry sums over the label's sample in partition
-    order; it equals the sum in training order up to rounding."""
+    """Each loss-trace entry sums over every row in partition order, with
+    weight 0 outside the label's sample; it equals the sum over the sample
+    in training order up to rounding."""
     x, y = _lockstep_problem()
     cfg = tr.TrainerConfig(iterations=3, seed=5, learning_rate=0.3,
                            **LOCKSTEP_CASES[case])
@@ -524,6 +536,71 @@ def test_lockstep_nonfinite_label_leaves_others_unchanged():
             y[:, label_ids[lane]], cfg, label_ids[lane])
         _assert_same_label(model.label(lane), traces[lane], want_model,
                            want_trace)
+
+
+LOSS_CASES = {
+    "logistic": dict(model_kind="logistic"),
+    "hinge-cap": dict(model_kind="hinge", sample_cap=60),
+    "moe-h1": dict(model_kind="moe", n_experts=1),
+    "moe-h1-cap": dict(model_kind="moe", n_experts=1, sample_cap=60),
+    "moe-h2": dict(model_kind="moe", n_experts=2),
+    "moe-h2-cap": dict(model_kind="moe", n_experts=2, sample_cap=60),
+}
+
+
+def _many_labels_problem(n, dim, n_labels, seed=23):
+    """n rows of dim features and a bias; each label has its own rate. The
+    last 8 rows are 30 times larger, so that their losses weigh in every
+    sum: a 1-ulp change of their scores (a gemm's tail rows may round
+    differently) then shows in the loss trace."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim))
+    x[-8:] *= 30.0
+    x = M.add_bias(x)
+    y = rng.random((n, n_labels)) < rng.uniform(0.05, 0.5, n_labels)
+    return x, y
+
+
+def _train_in_blocks(x, y, cfg, block):
+    """The loss traces of every label of y, trained in blocks of `block`."""
+    traces = []
+    for lo in range(0, y.shape[1], block):
+        label_ids = list(range(lo, min(lo + block, y.shape[1])))
+        model = tr._make_model(x.shape[1] - 1, len(label_ids), cfg)
+        traces += tr.train_label(model, x, y, cfg, label_ids)[1]
+    return traces
+
+
+@pytest.mark.parametrize("shape", [(250, 4), (1200, 48)],
+                         ids=["n250-d5", "n1200-d49"])
+@pytest.mark.parametrize("case", list(LOSS_CASES))
+def test_loss_trace_bits_do_not_depend_on_the_block(case, shape):
+    """A label's loss trace has the same bits alone and in blocks of 2, 3
+    and 100 labels: a block scores the shared x with one gemm, whose
+    column for a label does not depend on the other labels."""
+    x, y = _many_labels_problem(*shape, n_labels=100)
+    cfg = tr.TrainerConfig(batch_size=32, iterations=2, seed=3,
+                           learning_rate=0.3, **LOSS_CASES[case])
+    want = _train_in_blocks(x, y, cfg, 100)
+    for block in (1, 2, 3):
+        assert _train_in_blocks(x, y, cfg, block) == want
+
+
+@pytest.mark.parametrize("case", list(LOSS_CASES))
+def test_loss_chunks_do_not_change_results(case, monkeypatch):
+    """Chunks of one lane and one chunk for the whole block give the same
+    loss traces and models."""
+    x, y = _many_labels_problem(250, 4, n_labels=9)
+    cfg = tr.TrainerConfig(batch_size=7, iterations=2, seed=4,
+                           learning_rate=0.3, **LOSS_CASES[case])
+    runs = []
+    for elements in (len(x), 1 << 30):
+        monkeypatch.setattr(tr, "LOSS_ELEMENTS", elements)
+        runs.append(tr.train_label(tr._make_model(x.shape[1] - 1, 9, cfg),
+                                   x, y, cfg, list(range(9))))
+    (model, traces), (want_model, want_traces) = runs
+    assert traces == want_traces
+    assert model_bytes(model) == model_bytes(want_model)
 
 
 # ----------------------------------------------------------- prediction
